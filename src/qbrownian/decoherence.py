@@ -49,13 +49,18 @@ class CatState:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Characteristic times: the scale tau0 and the 1/e crossing tau_d."""
+    """Characteristic times: the scale tau0 and the 1/e crossing tau_d.
+
+    bracket is the scan bracket with bracket[0] < tau_d <= bracket[1];
+    n_evals counts the attenuation evaluations the root find spent.
+    """
 
     tau0: float
     tau_d: float
     tau_d_eq26: float
     method: str
     bracket: tuple
+    n_evals: int
 
 
 def _moments(state, model, t, theta, cfg, hbar):
@@ -124,50 +129,108 @@ def attenuation_intermediate(state, model, t, hbar=1.0):
     return math.exp(ratio * ratio * bracket)
 
 
+def _brent_root(gap, lo, hi, g_lo, g_hi, rtol):
+    """Crossing of gap inside a bracket with g_lo = gap(lo) > 0 >= g_hi = gap(hi).
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps through the last points,
+    replaced by bisection whenever a step would not shrink the bracket
+    fast enough, and never shorter than half the tolerance. Stops once
+    hi - lo <= rtol * hi and returns hi, the earliest time known to have
+    crossed, so the root stays inside the starting bracket (lo, hi].
+    """
+    pre, g_pre, cur, g_cur = lo, g_lo, hi, g_hi
+    blk, g_blk = pre, g_pre
+    s_pre = s_cur = cur - pre
+    while True:
+        if (g_pre > 0.0) != (g_cur > 0.0):
+            # cur and pre straddle the crossing: pre becomes the contrapoint
+            blk, g_blk = pre, g_pre
+            s_pre = s_cur = cur - pre
+        if abs(g_blk) < abs(g_cur):
+            pre, cur, blk = cur, blk, cur
+            g_pre, g_cur, g_blk = g_cur, g_blk, g_cur
+        top = max(cur, blk)
+        if g_cur == 0.0 or abs(blk - cur) <= rtol * top:
+            return cur if g_cur <= 0.0 else blk
+        delta = 0.5 * rtol * top
+        s_bis = 0.5 * (blk - cur)
+        # g_cur and g_blk lie on opposite sides and |g_cur| < |g_pre|, so no
+        # denominator below can vanish
+        if abs(s_pre) > delta and abs(g_cur) < abs(g_pre):
+            if pre == blk:
+                s_try = -g_cur * (cur - pre) / (g_cur - g_pre)
+            else:
+                d_pre = (g_pre - g_cur) / (pre - cur)
+                d_blk = (g_blk - g_cur) / (blk - cur)
+                s_try = -g_cur * (g_blk * d_blk - g_pre * d_pre) / (d_blk * d_pre * (g_blk - g_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        pre, g_pre = cur, g_cur
+        cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        g_cur = gap(cur)
+
+
 def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
     """First time at which the attenuation falls to 1/e.
 
-    A geometric scan from 1e-6 tau0 brackets the crossing (capped at 1e6
-    reduced time units), then bisection refines it to relative 1e-10. The
-    report also carries the logarithmic closed-form estimate.
+    The first probe sits at 1e-6 tau0; if the attenuation is already below
+    1/e there, the crossing is bracketed by (0, 1e-6 tau0). Otherwise the
+    second probe is the logarithmic closed-form estimate tau_d_eq26, which
+    always lies below tau0, and the bracket is widened from it by factors
+    of 2: downward no further than the first probe, upward up to the scan
+    cap of 1e6 reduced time units (BracketScanError beyond). Brent's method
+    then refines the bracket until hi - lo <= 1e-10 hi. The report carries
+    the scan bracket, the estimate and n_evals, the number of attenuation
+    evaluations spent.
     """
     _require_srt(model)
     t0 = tau0(state, model, hbar=hbar)
     target = math.exp(-1.0)
+    n_evals = 0
 
     def gap(t):
+        nonlocal n_evals
+        n_evals += 1
         return attenuation_exact(state, model, t, theta=theta, cfg=cfg, hbar=hbar) - target
 
     t_cap = 1e6 * state.mass / model.zeta
-    lo = 1e-6 * t0
-    if gap(lo) <= 0.0:
-        hi, lo = lo, 0.0
-        bracket = (0.0, hi)
-    else:
-        hi = lo
-        while True:
-            hi *= 2.0
-            if hi > t_cap:
-                raise BracketScanError(
-                    f"attenuation stays above 1/e up to the scan cap {t_cap!r}"
-                )
-            if gap(hi) <= 0.0:
-                break
-            lo = hi
-        bracket = (lo, hi)
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    tau_d = 0.5 * (lo + hi)
+    capped = f"attenuation stays above 1/e up to the scan cap {t_cap!r}"
     eq26 = t0 / math.sqrt(abs(math.log(model.zeta * model.tau / state.mass)))
+    first = 1e-6 * t0
+    g_first = gap(first)
+    if g_first <= 0.0:
+        # attenuation_exact is exactly 1 at t = 0, so gap(0) needs no evaluation
+        lo, hi, g_lo, g_hi = 0.0, first, 1.0 - target, g_first
+    else:
+        # |log(zeta tau / m)| < 745 in floating point puts eq26 above the
+        # first probe, so only a scan cap below it can fail this
+        lo, g_lo, hi = first, g_first, min(eq26, t_cap)
+        if not hi > first:
+            raise BracketScanError(capped)
+        g_hi = gap(hi)
+        while g_hi <= 0.0 and 2.0 * lo < hi:
+            mid = 0.5 * hi
+            g_mid = gap(mid)
+            if g_mid > 0.0:
+                lo, g_lo = mid, g_mid
+                break
+            hi, g_hi = mid, g_mid
+        while g_hi > 0.0:
+            lo, g_lo, hi = hi, g_hi, 2.0 * hi
+            if hi > t_cap:
+                raise BracketScanError(capped)
+            g_hi = gap(hi)
+    tau_d = _brent_root(gap, lo, hi, g_lo, g_hi, 1e-10)
     if not tau_d < t0:
         raise RuntimeError(
             f"decoherence time {tau_d!r} did not fall below tau0 {t0!r}"
         )
-    return DecoherenceReport(t0, tau_d, eq26, "root_find_exact", bracket)
+    return DecoherenceReport(t0, tau_d, eq26, "root_find_exact", (lo, hi), n_evals)
 
 
 def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):

@@ -1,10 +1,17 @@
 """Command-line front end: determinism, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import qbrownian
+
+# the child process imports the same package as the tests, installed or not
+SRC = str(Path(qbrownian.__file__).resolve().parents[1])
 
 BE9 = {
     "mass_kg": 1.494e-26,
@@ -33,7 +40,9 @@ def run_cli(*args, config=None, tmp_path=None):
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     argv += list(args)
-    return subprocess.run(argv, capture_output=True, text=True)
+    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 class TestTauD:
@@ -41,6 +50,9 @@ class TestTauD:
         proc = run_cli("--command", "tau-d", "--output", "json", config=BE9, tmp_path=tmp_path)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
+        assert doc["columns"] == [
+            "tau0_s", "tau_d_s", "tau_d_eq26_s", "tau0_reduced", "tau_d_reduced", "method"
+        ]
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["tau0_s"] == pytest.approx(7.70338357036e-16, rel=1e-9)
         assert row["tau_d_s"] < row["tau0_s"]

@@ -1,0 +1,62 @@
+"""Golden CLI output: the exact stdout bytes of every command except tau-d.
+
+tests/data/cli_golden.json holds the expected stdout of each case, keyed
+by case name; a change to any of those bytes is a change of the CLI
+contract. All cases run as one sequence of in-process ``cli.main`` calls,
+with a rejected argv in the middle, so state kept between calls (such as
+the shared argument parser) cannot leak into the output.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qbrownian import cli
+from test_cli import BE9, LAB
+
+GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
+
+# LAB reduces to scale_time = 1 s, tau_hat = 0.01, d_hat = 1000; BE9 is the
+# trapped-ion example with scale_time = 1/6000 s
+CASES = {
+    "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
+    "msd_json": (BE9, ["--command", "msd", "--grid", "1e-9,1e-3,7,log", "--output", "json"]),
+    "commutator_csv": (LAB, ["--command", "commutator", "--grid", "1e-3,10,8,log"]),
+    "commutator_json": (BE9, ["--command", "commutator", "--grid", "0,1e-3,5,lin", "--output", "json"]),
+    "width_csv": (LAB, ["--command", "width", "--grid", "0,5,6,lin"]),
+    "width_json": (BE9, ["--command", "width", "--grid", "1e-9,1e-2,6,log", "--output", "json"]),
+    "attenuation_csv": (LAB, ["--command", "attenuation", "--grid", "1e-4,1e-2,7,log"]),
+    "attenuation_json": (BE9, ["--command", "attenuation", "--grid", "1e-16,1e-15,7,log", "--output", "json"]),
+    "vfun_csv": ({}, ["--command", "vfun", "--grid", "1e-3,1e4,9,log"]),
+    "vfun_json": ({}, ["--command", "vfun", "--grid", "0,2e-2,5,lin", "--output", "json"]),
+    "profile_csv": (dict(LAB, d_m=12e-9, time_s=0.5), ["--command", "profile", "--grid=-1.2e-8,1.2e-8,9,lin"]),
+    "profile_json": (
+        dict(BE9, d_m=1e-9, time_s=1e-12),
+        ["--command", "profile", "--grid=-1e-9,1e-9,7,lin", "--output", "json"],
+    ),
+    "sweep_width_csv": (
+        dict(LAB, tau_s=[1e-3, 1e-2, 0.1], observable="width"),
+        ["--command", "sweep", "--grid", "1e-2,1,5,log"],
+    ),
+    "sweep_width_json": (
+        dict(LAB, d_m=[5e-7, 1e-6], observable="width"),
+        ["--command", "sweep", "--grid", "0,1,5,lin", "--output", "json"],
+    ),
+}
+
+
+def test_stdout_bytes_pinned(tmp_path, capsys):
+    expected = json.loads(GOLDEN.read_text())
+    assert sorted(expected) == sorted(CASES)
+    for i, (name, (config, args)) in enumerate(CASES.items()):
+        if i == len(CASES) // 2:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--command", "msd", "--output", "xml"])
+            assert exc.value.code == 2
+            assert cli.main(["--command", "msd"]) == 2
+            assert capsys.readouterr().out == ""
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(path), *args]) == 0, name
+        assert capsys.readouterr().out == expected[name], name

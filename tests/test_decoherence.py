@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbrownian import decoherence as dec
 from qbrownian.bath import ohmic, single_relaxation_time
 from qbrownian.decoherence import (
     BracketScanError,
@@ -21,6 +22,47 @@ from qbrownian.units import HBAR, NarrowSeparationWarning
 from conftest import integrate_profile
 
 EIGHT_PI = 8.0 * math.pi
+ION_MASS = 1.494e-26
+
+
+def _bisection_tau_d(state, model, theta=0.0, hbar=1.0):
+    """Reference root: doubling scan from 1e-6 tau0, then bisection to 1e-10."""
+    t0 = tau0(state, model, hbar=hbar)
+
+    def crossed(t):
+        a = attenuation_exact(state, model, t, theta=theta, hbar=hbar)
+        return a - math.exp(-1.0) <= 0.0
+
+    lo = 1e-6 * t0
+    if crossed(lo):
+        lo, hi = 0.0, lo
+    else:
+        hi = 2.0 * lo
+        while not crossed(hi):
+            lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _zero_temperature_cases(rng, n=50):
+    """(state, model, hbar): n draws from the criterion-10 box, then the ion trap."""
+    cases = []
+    for _ in range(n):
+        d = 10.0 ** rng.uniform(math.log10(15.0), 2.0)
+        lo = 1.2 * EIGHT_PI / (0.64 * d * d)
+        hi = 0.09 * d * d / EIGHT_PI
+        u = rng.uniform(0.05, 0.95)
+        kappa = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+        model = single_relaxation_time(1.0, 10.0 ** rng.uniform(-6, math.log10(0.2)))
+        cases.append((CatState(1.0, d), model, kappa))
+    ion = CatState(sigma=1e-10, d=1e-2, mass=ION_MASS)
+    cases.append((ion, single_relaxation_time(ION_MASS * 6e3, 1e-10), HBAR))
+    return cases
 
 
 class TestCatState:
@@ -112,9 +154,8 @@ class TestLimitingAttenuations:
 
 class TestTau0:
     def test_ion_example(self):
-        mass = 1.494e-26
-        state = CatState(sigma=1e-10, d=1e-2, mass=mass)
-        model = single_relaxation_time(mass * 6e3, 1e-10)
+        state = CatState(sigma=1e-10, d=1e-2, mass=ION_MASS)
+        model = single_relaxation_time(ION_MASS * 6e3, 1e-10)
         value = tau0(state, model, hbar=HBAR)
         assert value == pytest.approx(7.70338357036e-16, rel=1e-9)
 
@@ -158,12 +199,56 @@ class TestDecoherenceTime:
         with pytest.raises(BracketScanError):
             decoherence_time(state, model)
 
+    def test_scan_cap_below_first_probe(self):
+        # tau0 here exceeds 1e12 m/zeta: the scan cap lies below 1e-6 tau0
+        with pytest.raises(BracketScanError):
+            decoherence_time(CatState(1.0, 10.0), single_relaxation_time(1.0, 0.01), hbar=1e-26)
+
     def test_finite_temperature_root(self):
         state = CatState(1.0, 1000.0)
         model = single_relaxation_time(1.0, 0.01)
         cold = decoherence_time(state, model, hbar=EIGHT_PI)
         warm = decoherence_time(state, model, theta=1.0, hbar=EIGHT_PI)
         assert warm.tau_d < cold.tau_d
+        assert warm.n_evals <= 18
+        assert warm.bracket[0] < warm.tau_d <= warm.bracket[1]
+        reference = _bisection_tau_d(state, model, theta=1.0, hbar=EIGHT_PI)
+        assert warm.tau_d == pytest.approx(reference, rel=2e-10)
+
+    def test_zero_temperature_root_matches_bisection(self, rng):
+        for state, model, kappa in _zero_temperature_cases(rng):
+            report = decoherence_time(state, model, hbar=kappa)
+            assert report.n_evals <= 14
+            assert report.bracket[0] < report.tau_d <= report.bracket[1]
+            reference = _bisection_tau_d(state, model, hbar=kappa)
+            assert report.tau_d == pytest.approx(reference, rel=2e-10)
+
+    def test_n_evals_counts_attenuation_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return attenuation_exact(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "attenuation_exact", counted)
+        state, model = CatState(1.0, 1000.0), single_relaxation_time(1.0, 0.01)
+        report = decoherence_time(state, model, hbar=EIGHT_PI)
+        assert report.n_evals == len(calls)
+        # the first probe sits at 1e-6 tau0, the second at the eq. 26 estimate
+        assert calls[:2] == [1e-6 * report.tau0, report.tau_d_eq26]
+
+    @pytest.mark.parametrize(
+        "gap, root",
+        [
+            (lambda t: math.exp(-t * t) - math.exp(-1.0), 1.0),  # smooth, from lo = 0
+            (lambda t: 0.5 - t, 0.5),  # the secant step lands on the root exactly
+            (lambda t: 1.0 if t < 0.3 else -1.0, 0.3),  # no interpolation helps
+        ],
+    )
+    def test_brent_step_tolerance(self, gap, root):
+        t = dec._brent_root(gap, 0.0, 2.0, gap(0.0), gap(2.0), 1e-10)
+        assert gap(t) <= 0.0
+        assert root <= t <= root * (1.0 + 1e-10)
 
 
 class TestProbabilityProfile:
