@@ -1,8 +1,9 @@
-"""Golden CLI output: the exact stdout bytes of every command except tau-d.
+"""Golden CLI output: the exact stdout bytes and exit code of every command.
 
-tests/data/cli_golden.json holds the expected stdout of each case, keyed
-by case name; a change to any of those bytes is a change of the CLI
-contract. All cases run as one sequence of in-process ``cli.main`` calls,
+tests/data/cli_golden.json holds the expected exit code and stdout of each
+case, keyed by case name; a change to any of those bytes is a change of the
+CLI contract. The cases cover zero and finite temperature, every sweep
+observable and a run that ends in a ``quadrature_failed`` row (exit 3). All cases run as one sequence of in-process ``cli.main`` calls,
 with a rejected argv in the middle, so state kept between calls (such as
 the shared argument parser) cannot leak into the output.
 """
@@ -19,6 +20,7 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 
 # LAB reduces to scale_time = 1 s, tau_hat = 0.01, d_hat = 1000; BE9 is the
 # trapped-ion example with scale_time = 1/6000 s
+LAB_WARM = dict(LAB, temperature_K=1e-12)
 CASES = {
     "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
     "msd_json": (BE9, ["--command", "msd", "--grid", "1e-9,1e-3,7,log", "--output", "json"]),
@@ -43,6 +45,33 @@ CASES = {
         dict(LAB, d_m=[5e-7, 1e-6], observable="width"),
         ["--command", "sweep", "--grid", "0,1,5,lin", "--output", "json"],
     ),
+    "sweep_msd_csv": (
+        dict(LAB, tau_s=[1e-3, 1e-2], observable="msd"),
+        ["--command", "sweep", "--grid", "0,2,4,lin"],
+    ),
+    "sweep_commutator_json": (
+        dict(BE9, tau_s=[1e-11, 1e-10], observable="commutator"),
+        ["--command", "sweep", "--grid", "1e-9,1e-3,4,log", "--output", "json"],
+    ),
+    "sweep_attenuation_csv": (
+        dict(LAB, d_m=[5e-7, 1e-6], observable="attenuation"),
+        ["--command", "sweep", "--grid", "1e-4,1e-2,5,log"],
+    ),
+    "sweep_temperature_csv": (
+        dict(LAB, temperature_K=[0.0, 1e-12], observable="attenuation"),
+        ["--command", "sweep", "--grid", "0,1e-2,4,lin"],
+    ),
+    "sweep_tau_d_csv": (dict(LAB, tau_s=[1e-4, 1e-3, 1e-2]), ["--command", "sweep"]),
+    "tau_d_csv": (BE9, ["--command", "tau-d"]),
+    "tau_d_json": (LAB_WARM, ["--command", "tau-d", "--output", "json"]),
+    "msd_warm_csv": (LAB_WARM, ["--command", "msd", "--grid", "0,1,4,lin"]),
+    "width_warm_json": (LAB_WARM, ["--command", "width", "--grid", "1e-2,10,4,log", "--output", "json"]),
+    "attenuation_warm_csv": (LAB_WARM, ["--command", "attenuation", "--grid", "0,1e-2,5,lin"]),
+    # the last row's quadrature misses its budget: flagged, exit 3
+    "width_failed_csv": (
+        dict(BE9, temperature_K=1e-3),
+        ["--command", "width", "--grid", "1e-3,0.16666666666666669,3,log"],
+    ),
 }
 
 
@@ -58,5 +87,5 @@ def test_stdout_bytes_pinned(tmp_path, capsys):
             assert capsys.readouterr().out == ""
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
-        assert cli.main(["--config", str(path), *args]) == 0, name
-        assert capsys.readouterr().out == expected[name], name
+        assert cli.main(["--config", str(path), *args]) == expected[name]["exit"], name
+        assert capsys.readouterr().out == expected[name]["stdout"], name
