@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +25,16 @@ from .specfun import v_function
 COMMANDS = ("msd", "commutator", "width", "attenuation", "profile", "tau-d", "sweep", "vfun")
 _SWEEPABLE = ("tau_s", "zeta", "temperature_K", "d_m")
 _CONFIG_EXTRAS = ("command", "grid", "output", "rel_tol", "abs_tol", "time_s", "observable")
+_SWEEP_OBSERVABLES = ("tau-d", "msd", "commutator", "width", "attenuation")
+_COLUMNS = {
+    "msd": ("t_s", "t_reduced", "s_m2", "s_reduced", "method"),
+    "commutator": ("t_s", "t_reduced", "C_m2", "C_reduced"),
+    "width": ("t_s", "t_reduced", "w2_m2", "w2_reduced", "method"),
+    "attenuation": ("t_s", "t_reduced", "a", "method"),
+    "tau-d": ("tau0_s", "tau_d_s", "tau_d_eq26_s", "tau0_reduced", "tau_d_reduced", "method"),
+    "profile": ("x_m", "x_reduced", "P_per_m", "P_reduced"),
+    "vfun": ("x", "v", "method", "est_error"),
+}
 
 
 @dataclass(frozen=True)
@@ -91,66 +100,60 @@ def _emit(spec, out, columns, rows):
 
 
 def _reduced_setup(raw):
-    params = _units.params_from_dict(raw, allow_extra=_CONFIG_EXTRAS)
-    red = _units.reduce(params)
+    red = _units.reduce(_units.params_from_dict(raw, allow_extra=_CONFIG_EXTRAS))
     if red.tau_hat == 0.0:
         model = _bath.ohmic(1.0)
     else:
         model = _bath.single_relaxation_time(1.0, red.tau_hat)
-    state = _dec.CatState(1.0, red.d_hat, 1.0)
-    return params, red, model, state
+    return red, model, _dec.CatState(1.0, red.d_hat, 1.0)
 
 
-def _msd_point(model, t_red, theta, quad, kappa):
-    """Reduced displacement with the route taken and a success flag."""
-    if t_red == 0.0:
-        return 0.0, "closed_form", True
-    if theta == 0.0:
-        return _dyn.msd_zero_T(model, t_red, hbar=kappa), "closed_form", True
-    res = _dyn.msd_finite_T(model, t_red, theta, cfg=quad, hbar=kappa)
-    return res.value, ("quadrature_failed" if res.failed else "quadrature"), not res.failed
+def _time_rows(observable, grid, red, model, state, quad):
+    """Rows of one observable, without sweep prefix, and whether all met budget.
 
-
-def _run_time_command(spec, out):
-    _, red, model, state = _reduced_setup(spec.raw)
-    kappa, theta = red.kappa, red.theta
+    tau-d gives one row and ignores the grid; the others give one row per
+    grid time, and a quadrature_failed row makes the flag false.
+    """
+    st = red.scale_time
+    if observable == "tau-d":
+        rep = _dec.decoherence_time(state, model, theta=red.theta, cfg=quad, hbar=red.kappa)
+        row = (rep.tau0 * st, rep.tau_d * st, rep.tau_d_eq26 * st, rep.tau0, rep.tau_d, rep.method)
+        return [row], True
     sigma2 = red.scale_length ** 2
     rows = []
     ok = True
-    for t_s in spec.grid.values():
+    for t_s in grid.values():
         t_s = float(t_s)
         if t_s < 0.0:
             raise ValueError(f"grid: negative time {t_s!r}")
-        t_red = t_s / red.scale_time
-        if spec.command == "commutator":
-            c = _dyn.commutator_magnitude(model, t_red, hbar=kappa)
+        t_red = t_s / st
+        if observable == "commutator":
+            c = _dyn.commutator_magnitude(model, t_red, hbar=red.kappa)
             rows.append((t_s, t_red, c * sigma2, c))
             continue
-        s, method, point_ok = _msd_point(model, t_red, theta, spec.quad, kappa)
-        ok = ok and point_ok
-        if spec.command == "msd":
+        if observable == "msd":
+            s, method = _dyn._msd(model, t_red, red.theta, quad, state.mass, red.kappa)
             rows.append((t_s, t_red, s * sigma2, s, method))
-        elif spec.command == "width":
-            c = _dyn.commutator_magnitude(model, t_red, hbar=kappa)
-            w2 = 1.0 + (0.5 * c) ** 2 + s
-            rows.append((t_s, t_red, w2 * sigma2, w2, method))
-        else:  # attenuation
-            c = _dyn.commutator_magnitude(model, t_red, hbar=kappa)
-            w2 = 1.0 + (0.5 * c) ** 2 + s
-            a = math.exp(-s * red.d_hat ** 2 / (8.0 * w2))
-            rows.append((t_s, t_red, a, method))
-    columns = {
-        "msd": ("t_s", "t_reduced", "s_m2", "s_reduced", "method"),
-        "commutator": ("t_s", "t_reduced", "C_m2", "C_reduced"),
-        "width": ("t_s", "t_reduced", "w2_m2", "w2_reduced", "method"),
-        "attenuation": ("t_s", "t_reduced", "a", "method"),
-    }[spec.command]
-    _emit(spec, out, columns, rows)
+        else:
+            s, _, w2, method = _dyn._moments(
+                model, t_red, state.sigma, red.theta, quad, state.mass, red.kappa
+            )
+            if observable == "width":
+                rows.append((t_s, t_red, w2 * sigma2, w2, method))
+            else:
+                rows.append((t_s, t_red, _dec._attenuation(state, s, w2), method))
+        ok = ok and method != "quadrature_failed"
+    return rows, ok
+
+
+def _run_time_command(spec, out):
+    rows, ok = _time_rows(spec.command, spec.grid, *_reduced_setup(spec.raw), spec.quad)
+    _emit(spec, out, _COLUMNS[spec.command], rows)
     return 0 if ok else 3
 
 
 def _run_profile(spec, out):
-    _, red, model, state = _reduced_setup(spec.raw)
+    red, model, state = _reduced_setup(spec.raw)
     t_red = spec.time_s / red.scale_time
     sigma = red.scale_length
     x_red = [float(x) / sigma for x in spec.grid.values()]
@@ -158,27 +161,7 @@ def _run_profile(spec, out):
         state, model, t_red, red.theta, x_red, cfg=spec.quad, hbar=red.kappa
     )
     rows = [(xr * sigma, xr, p / sigma, p) for xr, p in pairs]
-    _emit(spec, out, ("x_m", "x_reduced", "P_per_m", "P_reduced"), rows)
-    return 0
-
-
-def _tau_d_row(red, model, state, quad):
-    rep = _dec.decoherence_time(state, model, theta=red.theta, cfg=quad, hbar=red.kappa)
-    return (
-        rep.tau0 * red.scale_time,
-        rep.tau_d * red.scale_time,
-        rep.tau_d_eq26 * red.scale_time,
-        rep.tau0,
-        rep.tau_d,
-        rep.method,
-    )
-
-
-def _run_tau_d(spec, out):
-    _, red, model, state = _reduced_setup(spec.raw)
-    row = _tau_d_row(red, model, state, spec.quad)
-    columns = ("tau0_s", "tau_d_s", "tau_d_eq26_s", "tau0_reduced", "tau_d_reduced", "method")
-    _emit(spec, out, columns, [row])
+    _emit(spec, out, _COLUMNS["profile"], rows)
     return 0
 
 
@@ -187,7 +170,7 @@ def _run_vfun(spec, out):
     for x in spec.grid.values():
         res = v_function(float(x))
         rows.append((float(x), res.value, res.method, res.est_error))
-    _emit(spec, out, ("x", "v", "method", "est_error"), rows)
+    _emit(spec, out, _COLUMNS["vfun"], rows)
     return 0
 
 
@@ -203,48 +186,19 @@ def _run_sweep(spec, out):
     values = spec.raw[name]
     if not values or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ValueError(f"field {name!r} must be a non-empty list of numbers")
-    values = sorted(float(v) for v in values)
     observable = spec.observable
-    if observable not in ("tau-d", "msd", "commutator", "width", "attenuation"):
+    if observable not in _SWEEP_OBSERVABLES:
         raise ValueError(f"unknown sweep observable {observable!r}")
+    if observable != "tau-d" and spec.grid is None:
+        raise ValueError("grid is required for time-observable sweeps")
     rows = []
     ok = True
-    for value in values:
-        raw = dict(spec.raw)
-        raw[name] = value
-        _, red, model, state = _reduced_setup(raw)
-        if observable == "tau-d":
-            rows.append((name, value) + _tau_d_row(red, model, state, spec.quad))
-            continue
-        if spec.grid is None:
-            raise ValueError("grid is required for time-observable sweeps")
-        sigma2 = red.scale_length ** 2
-        for t_s in spec.grid.values():
-            t_red = float(t_s) / red.scale_time
-            if observable == "commutator":
-                c = _dyn.commutator_magnitude(model, t_red, hbar=red.kappa)
-                rows.append((name, value, float(t_s), t_red, c * sigma2, c))
-                continue
-            s, method, point_ok = _msd_point(model, t_red, red.theta, spec.quad, red.kappa)
-            ok = ok and point_ok
-            if observable == "msd":
-                rows.append((name, value, float(t_s), t_red, s * sigma2, s, method))
-            else:
-                c = _dyn.commutator_magnitude(model, t_red, hbar=red.kappa)
-                w2 = 1.0 + (0.5 * c) ** 2 + s
-                if observable == "width":
-                    rows.append((name, value, float(t_s), t_red, w2 * sigma2, w2, method))
-                else:
-                    a = math.exp(-s * red.d_hat ** 2 / (8.0 * w2))
-                    rows.append((name, value, float(t_s), t_red, a, method))
-    columns = {
-        "tau-d": ("param", "value", "tau0_s", "tau_d_s", "tau_d_eq26_s", "tau0_reduced", "tau_d_reduced", "method"),
-        "msd": ("param", "value", "t_s", "t_reduced", "s_m2", "s_reduced", "method"),
-        "commutator": ("param", "value", "t_s", "t_reduced", "C_m2", "C_reduced"),
-        "width": ("param", "value", "t_s", "t_reduced", "w2_m2", "w2_reduced", "method"),
-        "attenuation": ("param", "value", "t_s", "t_reduced", "a", "method"),
-    }[observable]
-    _emit(spec, out, columns, rows)
+    for value in sorted(float(v) for v in values):
+        setup = _reduced_setup({**spec.raw, name: value})
+        value_rows, value_ok = _time_rows(observable, spec.grid, *setup, spec.quad)
+        rows.extend((name, value) + row for row in value_rows)
+        ok = ok and value_ok
+    _emit(spec, out, ("param", "value") + _COLUMNS[observable], rows)
     return 0 if ok else 3
 
 
@@ -254,7 +208,7 @@ _RUNNERS = {
     "width": _run_time_command,
     "attenuation": _run_time_command,
     "profile": _run_profile,
-    "tau-d": _run_tau_d,
+    "tau-d": _run_time_command,
     "vfun": _run_vfun,
     "sweep": _run_sweep,
 }

@@ -119,30 +119,42 @@ def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     return pref * bracket / (o2 - g2)
 
 
-def _msd(model, t, theta, cfg, m, hbar, context):
+def _msd(model, t, theta, cfg, m, hbar, context=None):
+    """s(t) and its route: closed_form, quadrature or quadrature_failed.
+
+    With a context, a failed quadrature raises QuadratureFailure instead of
+    returning its value under the quadrature_failed route.
+    """
+    if t == 0.0:
+        return 0.0, "closed_form"
     if theta == 0.0:
-        return msd_zero_T(model, t, m=m, hbar=hbar)
+        return msd_zero_T(model, t, m=m, hbar=hbar), "closed_form"
     res = msd_finite_T(model, t, theta, cfg=cfg, m=m, hbar=hbar)
-    if res.failed:
+    if not res.failed:
+        return res.value, "quadrature"
+    if context is not None:
         raise QuadratureFailure(res, context)
-    return res.value
+    return res.value, "quadrature_failed"
 
 
-def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
-    """Single-packet variance sigma^2 + C(t)^2/(4 sigma^2) + s(t).
+def _moments(model, t, sigma, theta, cfg, m, hbar, context=None):
+    """s, C, w^2 = sigma^2 + C^2/(4 sigma^2) + s and the route of s.
 
     The squared commutator enters with a positive sign because the
     commutator itself is purely imaginary.
     """
+    s, route = _msd(model, t, theta, cfg, m, hbar, context)
+    c = commutator_magnitude(model, t, m=m, hbar=hbar)
+    half = c / (2.0 * sigma)
+    return s, c, sigma * sigma + half * half + s, route
+
+
+def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
+    """Single-packet variance sigma^2 + C(t)^2/(4 sigma^2) + s(t)."""
     _check_time(t)
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if t == 0.0:
-        return sigma * sigma
-    s = _msd(model, t, theta, cfg, m, hbar, "packet_variance")
-    c = commutator_magnitude(model, t, m=m, hbar=hbar)
-    half = c / (2.0 * sigma)
-    return sigma * sigma + half * half + s
+    return _moments(model, t, sigma, theta, cfg, m, hbar, "packet_variance")[2]
 
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):
@@ -193,10 +205,7 @@ def msd_intermediate(model, t, m=1.0, hbar=1.0):
 
 def evaluate_trajectory(model, ts, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
     """TrajectoryPoint per time; quadrature is used only when theta > 0."""
-    points = []
-    for t in ts:
-        s = 0.0 if t == 0.0 else _msd(model, t, theta, cfg, m, hbar, "trajectory")
-        c = commutator_magnitude(model, t, m=m, hbar=hbar)
-        half = c / (2.0 * sigma)
-        points.append(TrajectoryPoint(t, s, c, sigma * sigma + half * half + s))
-    return points
+    return [
+        TrajectoryPoint(t, *_moments(model, t, sigma, theta, cfg, m, hbar, "trajectory")[:3])
+        for t in ts
+    ]

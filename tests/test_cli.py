@@ -1,14 +1,20 @@
-"""Command-line front end: determinism, formats, exit codes."""
+"""Command-line front end: determinism, formats, exit codes.
+
+Every test but one calls ``cli.main`` in process; the exception runs
+``python -m qbrownian`` to cover the module entry point.
+"""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qbrownian
+from qbrownian import cli
 
 # the child process imports the same package as the tests, installed or not
 SRC = str(Path(qbrownian.__file__).resolve().parents[1])
@@ -33,21 +39,34 @@ LAB = {
 }
 
 
-def run_cli(*args, config=None, tmp_path=None):
-    argv = [sys.executable, "-m", "qbrownian"]
+def _argv(args, config, tmp_path):
+    argv = []
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    argv += list(args)
-    pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return argv + list(args)
+
+
+@pytest.fixture
+def run_cli(tmp_path, capsys):
+    """cli.main in process: returncode, stdout and stderr, as a child would give."""
+
+    def run(*args, config=None):
+        argv = _argv(args, config, tmp_path)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects an argv this way
+            code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
 
 
 class TestTauD:
-    def test_ion_example(self, tmp_path):
-        proc = run_cli("--command", "tau-d", "--output", "json", config=BE9, tmp_path=tmp_path)
+    def test_ion_example(self, run_cli):
+        proc = run_cli("--command", "tau-d", "--output", "json", config=BE9)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["columns"] == [
@@ -59,17 +78,19 @@ class TestTauD:
         assert row["method"] == "root_find_exact"
 
     def test_requires_memory_bath(self, tmp_path):
-        config = dict(BE9, tau_s=0.0)
-        proc = run_cli("--command", "tau-d", config=config, tmp_path=tmp_path)
+        # through the module entry point: its exit status is main's return value
+        argv = [sys.executable, "-m", "qbrownian"]
+        argv += _argv(["--command", "tau-d"], dict(BE9, tau_s=0.0), tmp_path)
+        pythonpath = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "single-relaxation-time" in proc.stderr
 
 
 class TestVfun:
-    def test_log_grid_reference_row(self, tmp_path):
-        proc = run_cli(
-            "--command", "vfun", "--grid", "1e-3,1e3,7,log", config={}, tmp_path=tmp_path
-        )
+    def test_log_grid_reference_row(self, run_cli):
+        proc = run_cli("--command", "vfun", "--grid", "1e-3,1e3,7,log", config={})
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "x,v,method,est_error"
@@ -77,17 +98,15 @@ class TestVfun:
         assert float(row["x"]) == 1.0
         assert float(row["v"]) == pytest.approx(0.526802, abs=5e-7)
 
-    def test_log_grid_requires_positive_start(self, tmp_path):
-        proc = run_cli("--command", "vfun", "--grid", "0,10,5,log", config={}, tmp_path=tmp_path)
+    def test_log_grid_requires_positive_start(self, run_cli):
+        proc = run_cli("--command", "vfun", "--grid", "0,10,5,log", config={})
         assert proc.returncode == 2
         assert "log grid" in proc.stderr
 
 
 class TestMsd:
-    def test_first_row_exactly_zero(self, tmp_path):
-        proc = run_cli(
-            "--command", "msd", "--grid", "0,1e-5,2,lin", config=BE9, tmp_path=tmp_path
-        )
+    def test_first_row_exactly_zero(self, run_cli):
+        proc = run_cli("--command", "msd", "--grid", "0,1e-5,2,lin", config=BE9)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "t_s,t_reduced,s_m2,s_reduced,method"
@@ -95,25 +114,21 @@ class TestMsd:
         assert first[2] == "0.0"
         assert first[4] == "closed_form"
 
-    def test_finite_temperature_method_column(self, tmp_path):
+    def test_finite_temperature_method_column(self, run_cli):
         config = dict(LAB, temperature_K=1e-12)
-        proc = run_cli(
-            "--command", "msd", "--grid", "0.5,1.0,2,lin", config=config, tmp_path=tmp_path
-        )
+        proc = run_cli("--command", "msd", "--grid", "0.5,1.0,2,lin", config=config)
         assert proc.returncode == 0, proc.stderr
         assert "quadrature" in proc.stdout
 
-    def test_determinism(self, tmp_path):
+    def test_determinism(self, run_cli):
         args = ("--command", "msd", "--grid", "1e-6,1e-3,9,log")
-        first = run_cli(*args, config=BE9, tmp_path=tmp_path)
-        second = run_cli(*args, config=BE9, tmp_path=tmp_path)
+        first = run_cli(*args, config=BE9)
+        second = run_cli(*args, config=BE9)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_csv_round_trip(self, tmp_path):
-        proc = run_cli(
-            "--command", "msd", "--grid", "1e-6,1e-3,9,log", config=BE9, tmp_path=tmp_path
-        )
+    def test_csv_round_trip(self, run_cli):
+        proc = run_cli("--command", "msd", "--grid", "1e-6,1e-3,9,log", config=BE9)
         lines = proc.stdout.strip().split("\n")
         for line in lines[1:]:
             for token in line.split(",")[:4]:
@@ -122,11 +137,9 @@ class TestMsd:
 
 
 class TestProfileAndWidth:
-    def test_profile_rows(self, tmp_path):
+    def test_profile_rows(self, run_cli):
         config = dict(LAB, d_m=12e-9, time_s=0.5)
-        proc = run_cli(
-            "--command", "profile", "--grid=-1e-8,1e-8,41,lin", config=config, tmp_path=tmp_path
-        )
+        proc = run_cli("--command", "profile", "--grid=-1e-8,1e-8,41,lin", config=config)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "x_m,x_reduced,P_per_m,P_reduced"
@@ -134,19 +147,15 @@ class TestProfileAndWidth:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(v >= -1e-12 for v in values)
 
-    def test_width_initial_value(self, tmp_path):
-        proc = run_cli(
-            "--command", "width", "--grid", "0,1,3,lin", config=LAB, tmp_path=tmp_path
-        )
+    def test_width_initial_value(self, run_cli):
+        proc = run_cli("--command", "width", "--grid", "0,1,3,lin", config=LAB)
         lines = proc.stdout.strip().split("\n")
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(first["w2_m2"]) == 1e-18  # sigma^2 at t = 0
         assert float(first["w2_reduced"]) == 1.0
 
-    def test_attenuation_decays_from_one(self, tmp_path):
-        proc = run_cli(
-            "--command", "attenuation", "--grid", "0,0.02,5,lin", config=LAB, tmp_path=tmp_path
-        )
+    def test_attenuation_decays_from_one(self, run_cli):
+        proc = run_cli("--command", "attenuation", "--grid", "0,0.02,5,lin", config=LAB)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "t_s,t_reduced,a,method"
@@ -155,30 +164,30 @@ class TestProfileAndWidth:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
 
-    def test_tolerance_flags_accepted(self, tmp_path):
+    def test_tolerance_flags_accepted(self, run_cli):
         config = dict(LAB, temperature_K=1e-12)
         proc = run_cli(
             "--command", "msd", "--grid", "0.5,1.0,2,lin",
             "--rel-tol", "1e-7", "--abs-tol", "1e-12",
-            config=config, tmp_path=tmp_path,
+            config=config,
         )
         assert proc.returncode == 0, proc.stderr
         assert "quadrature" in proc.stdout
 
-    def test_bad_tolerance_rejected(self, tmp_path):
+    def test_bad_tolerance_rejected(self, run_cli):
         proc = run_cli(
             "--command", "msd", "--grid", "0,1,2,lin", "--rel-tol", "0",
-            config=LAB, tmp_path=tmp_path,
+            config=LAB,
         )
         assert proc.returncode == 2
         assert "rel_tol" in proc.stderr
 
 
 class TestSweep:
-    def test_tau_sweep_decoherence_times_increase(self, tmp_path):
+    def test_tau_sweep_decoherence_times_increase(self, run_cli):
         config = dict(LAB)
         config["tau_s"] = [1e-4, 1e-3, 1e-2]
-        proc = run_cli("--command", "sweep", config=config, tmp_path=tmp_path)
+        proc = run_cli("--command", "sweep", config=config)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
         header = lines[0].split(",")
@@ -189,24 +198,24 @@ class TestSweep:
         assert tau_ds[0] < tau_ds[1] < tau_ds[2]
         assert all(d < z for d, z in zip(tau_ds, tau_0s))
 
-    def test_temperature_sweep_zero_matches_plain_command(self, tmp_path):
-        config = dict(LAB, observable="msd")
-        config["temperature_K"] = [0.0]
-        sweep = run_cli(
-            "--command", "sweep", "--grid", "0.1,1.0,4,lin", config=config, tmp_path=tmp_path
-        )
-        plain = run_cli(
-            "--command", "msd", "--grid", "0.1,1.0,4,lin", config=LAB, tmp_path=tmp_path
-        )
+    @pytest.mark.parametrize("temperature_K", [0.0, 1e-12])
+    @pytest.mark.parametrize("observable", ["msd", "commutator", "width", "attenuation", "tau-d"])
+    def test_temperature_sweep_zero_matches_plain_command(self, run_cli, observable, temperature_K):
+        # tau-d ignores the grid
+        grid = ("--grid", "1e-3,1.0,4,log")
+        config = dict(LAB, observable=observable)
+        config["temperature_K"] = [temperature_K]
+        sweep = run_cli("--command", "sweep", *grid, config=config)
+        plain = run_cli("--command", observable, *grid, config=dict(LAB, temperature_K=temperature_K))
         assert sweep.returncode == plain.returncode == 0
         sweep_rows = [line.split(",")[2:] for line in sweep.stdout.strip().split("\n")[1:]]
         plain_rows = [line.split(",") for line in plain.stdout.strip().split("\n")[1:]]
         assert sweep_rows == plain_rows
 
-    def test_separation_sweep_halves_tau0(self, tmp_path):
+    def test_separation_sweep_halves_tau0(self, run_cli):
         config = dict(LAB)
         config["d_m"] = [5e-7, 1e-6]
-        proc = run_cli("--command", "sweep", config=config, tmp_path=tmp_path)
+        proc = run_cli("--command", "sweep", config=config)
         lines = proc.stdout.strip().split("\n")
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
@@ -214,48 +223,48 @@ class TestSweep:
             float(rows[0]["tau0_s"]) / 2.0, rel=1e-12
         )
 
-    def test_two_ranged_parameters_rejected(self, tmp_path):
+    def test_two_ranged_parameters_rejected(self, run_cli):
         config = dict(LAB)
         config["tau_s"] = [1e-4, 1e-3]
         config["d_m"] = [10.0, 20.0]
-        proc = run_cli("--command", "sweep", config=config, tmp_path=tmp_path)
+        proc = run_cli("--command", "sweep", config=config)
         assert proc.returncode == 2
         assert "exactly one ranged parameter" in proc.stderr
 
 
 class TestValidation:
-    def test_underdamped_rejected_with_constraint_named(self, tmp_path):
+    def test_underdamped_rejected_with_constraint_named(self, run_cli):
         config = dict(LAB, tau_s=0.3)
-        proc = run_cli("--command", "msd", "--grid", "0,1,2,lin", config=config, tmp_path=tmp_path)
+        proc = run_cli("--command", "msd", "--grid", "0,1,2,lin", config=config)
         assert proc.returncode == 2
         assert "4*zeta*tau/m" in proc.stderr
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, run_cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
         proc = run_cli("--config", str(path), "--command", "msd", "--grid", "0,1,2,lin")
         assert proc.returncode == 2
         assert "malformed JSON" in proc.stderr
 
-    def test_missing_field_named(self, tmp_path):
+    def test_missing_field_named(self, run_cli):
         config = {k: v for k, v in BE9.items() if k != "sigma_m"}
-        proc = run_cli("--command", "msd", "--grid", "0,1,2,lin", config=config, tmp_path=tmp_path)
+        proc = run_cli("--command", "msd", "--grid", "0,1,2,lin", config=config)
         assert proc.returncode == 2
         assert "sigma_m" in proc.stderr
 
-    def test_unknown_command(self, tmp_path):
-        proc = run_cli("--command", "everything", config=BE9, tmp_path=tmp_path)
+    def test_unknown_command(self, run_cli):
+        proc = run_cli("--command", "everything", config=BE9)
         assert proc.returncode == 2
 
-    def test_grid_count_bounds(self, tmp_path):
-        proc = run_cli("--command", "msd", "--grid", "0,1,1,lin", config=BE9, tmp_path=tmp_path)
+    def test_grid_count_bounds(self, run_cli):
+        proc = run_cli("--command", "msd", "--grid", "0,1,1,lin", config=BE9)
         assert proc.returncode == 2
         assert "count" in proc.stderr
 
-    def test_json_output_shape(self, tmp_path):
+    def test_json_output_shape(self, run_cli):
         proc = run_cli(
             "--command", "commutator", "--grid", "0,1,3,lin", "--output", "json",
-            config=LAB, tmp_path=tmp_path,
+            config=LAB,
         )
         doc = json.loads(proc.stdout)
         assert doc["command"] == "commutator"
