@@ -3,9 +3,11 @@
 tests/data/cli_golden.json holds the expected exit code and stdout of each
 case, keyed by case name; a change to any of those bytes is a change of the
 CLI contract. The cases cover zero and finite temperature, every sweep
-observable and a run that ends in a ``quadrature_failed`` row (exit 3). All cases run as one sequence of in-process ``cli.main`` calls,
-with a rejected argv in the middle, so state kept between calls (such as
-the shared argument parser) cannot leak into the output.
+observable, a run that ends in a ``quadrature_failed`` row (exit 3) and
+runs rejected with exit 2, whose stderr text is pinned as well. All cases
+run as one sequence of in-process ``cli.main`` calls, with a rejected argv
+in the middle, so state kept between calls (such as the shared argument
+parser) cannot leak into the output.
 """
 
 import json
@@ -21,6 +23,7 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 # LAB reduces to scale_time = 1 s, tau_hat = 0.01, d_hat = 1000; BE9 is the
 # trapped-ion example with scale_time = 1/6000 s
 LAB_WARM = dict(LAB, temperature_K=1e-12)
+LAB_NEAR = dict(LAB, tau_s=0.25 * (1.0 - 1e-8))
 CASES = {
     "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
     "msd_json": (BE9, ["--command", "msd", "--grid", "1e-9,1e-3,7,log", "--output", "json"]),
@@ -72,6 +75,28 @@ CASES = {
         dict(BE9, temperature_K=1e-3),
         ["--command", "width", "--grid", "1e-3,0.16666666666666669,3,log"],
     ),
+    # 1 - 4 zeta tau / m = 1e-8: the direct two-rate form next to the rate degeneracy
+    "msd_near_degenerate_csv": (LAB_NEAR, ["--command", "msd", "--grid", "1e-9,1e4,14,log"]),
+    "commutator_near_degenerate_csv": (LAB_NEAR, ["--command", "commutator", "--grid", "1e-9,1e4,14,log"]),
+    "width_near_degenerate_json": (
+        LAB_NEAR,
+        ["--command", "width", "--grid", "1e-9,1e4,8,log", "--output", "json"],
+    ),
+    # 1 - 4 zeta tau / m = 1e-14: inside the degeneracy expansion
+    "width_degenerate_csv": (dict(LAB, tau_s=0.25 * (1.0 - 1e-14)), ["--command", "width", "--grid", "0,1e3,9,lin"]),
+    "attenuation_ohmic_csv": (dict(LAB, tau_s=0.0), ["--command", "attenuation", "--grid", "0,2e-2,9,lin"]),
+    # x = 0, then the ei_identity and asymptotic routes; a log grid through all three
+    "vfun_routes_csv": ({}, ["--command", "vfun", "--grid", "0,1500,4,lin"]),
+    "vfun_wide_csv": ({}, ["--command", "vfun", "--grid", "1e-300,1e6,41,log"]),
+    "commutator_warm_csv": (LAB_WARM, ["--command", "commutator", "--grid", "0,1,5,lin"]),
+    # rejected before any row is written: exit 2, nothing on stdout
+    "msd_negative_time_csv": (LAB, ["--command", "msd", "--grid=-1,1,5,lin"]),
+    "sweep_negative_time_csv": (
+        dict(LAB, tau_s=[1e-3, 1e-2], observable="attenuation"),
+        ["--command", "sweep", "--grid=-1,1,5,lin"],
+    ),
+    # gamma t overflows to inf at the last time: V rejects it
+    "msd_overflow_csv": (LAB, ["--command", "msd", "--grid", "0,1e308,3,lin"]),
 }
 
 
@@ -88,4 +113,7 @@ def test_stdout_bytes_pinned(tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         assert cli.main(["--config", str(path), *args]) == expected[name]["exit"], name
-        assert capsys.readouterr().out == expected[name]["stdout"], name
+        captured = capsys.readouterr()
+        assert captured.out == expected[name]["stdout"], name
+        if "stderr" in expected[name]:
+            assert captured.err == expected[name]["stderr"], name
