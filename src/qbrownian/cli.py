@@ -20,7 +20,7 @@ from . import decoherence as _dec
 from . import dynamics as _dyn
 from . import units as _units
 from .quadrature import QuadratureConfig
-from .specfun import v_function
+from .specfun import _v_array
 
 COMMANDS = ("msd", "commutator", "width", "attenuation", "profile", "tau-d", "sweep", "vfun")
 _SWEEPABLE = ("tau_s", "zeta", "temperature_K", "d_m")
@@ -82,21 +82,39 @@ def _parse_grid(text):
     return GridSpec(start, stop, count, scale)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# rows per CSV write: the text held at once stays small at any grid size,
+# up to the 1e7-row limit
+_CHUNK_ROWS = 1024
 
 
-def _emit(spec, out, columns, rows):
+def _texts(column):
+    """Cells of a float array by repr, of a list by str (the repr of a float)."""
+    return map(repr, column.tolist()) if isinstance(column, np.ndarray) else map(str, column)
+
+
+def _emit(spec, out, names, blocks):
+    """Write blocks of columns as CSV or JSON, block after block.
+
+    A column is a float array or a list of cells. CSV goes out in writes of
+    at most _CHUNK_ROWS rows, and the newline ending each chunk on its own,
+    so no chunk is copied; JSON is one json.dumps of the whole document.
+    """
     if spec.output == "json":
-        doc = {"command": spec.command, "columns": list(columns), "rows": [list(r) for r in rows]}
+        rows = [
+            list(row)
+            for cols in blocks
+            for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols))
+        ]
+        doc = {"command": spec.command, "columns": list(names), "rows": rows}
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
-    else:
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(x) for x in row) + "\n")
+        return
+    out.write(",".join(names) + "\n")
+    for cols in blocks:
+        for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+            cells = [_texts(c[lo:lo + _CHUNK_ROWS]) for c in cols]
+            out.write("\n".join(map(",".join, zip(*cells))))
+            out.write("\n")
 
 
 def _reduced_setup(raw):
@@ -109,7 +127,7 @@ def _reduced_setup(raw):
 
 
 def _time_rows(observable, grid, red, model, state, quad):
-    """Rows of one observable, without sweep prefix, and whether all met budget.
+    """Columns of one observable, without sweep prefix, and whether all met budget.
 
     tau-d gives one row and ignores the grid; the others give one row per
     grid time, and a quadrature_failed row makes the flag false.
@@ -118,37 +136,33 @@ def _time_rows(observable, grid, red, model, state, quad):
     if observable == "tau-d":
         rep = _dec.decoherence_time(state, model, theta=red.theta, cfg=quad, hbar=red.kappa)
         row = (rep.tau0 * st, rep.tau_d * st, rep.tau_d_eq26 * st, rep.tau0, rep.tau_d, rep.method)
-        return [row], True
+        return [[x] for x in row], True
+    t_s = grid.values()
+    negative = t_s < 0.0
+    if negative.any():
+        raise ValueError(f"grid: negative time {float(t_s[negative.argmax()])!r}")
     sigma2 = red.scale_length ** 2
-    rows = []
-    ok = True
-    for t_s in grid.values():
-        t_s = float(t_s)
-        if t_s < 0.0:
-            raise ValueError(f"grid: negative time {t_s!r}")
+    # overflow to inf and nan are silent, as they are in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
         t_red = t_s / st
+        s, c, w2, routes = _dyn._moments_grid(
+            model, t_red, state.sigma, red.theta, quad, state.mass, red.kappa,
+            with_s=observable != "commutator", with_c=observable != "msd",
+        )
         if observable == "commutator":
-            c = _dyn.commutator_magnitude(model, t_red, hbar=red.kappa)
-            rows.append((t_s, t_red, c * sigma2, c))
-            continue
+            return [t_s, t_red, c * sigma2, c], True
         if observable == "msd":
-            s, method = _dyn._msd(model, t_red, red.theta, quad, state.mass, red.kappa)
-            rows.append((t_s, t_red, s * sigma2, s, method))
+            cols = [t_s, t_red, s * sigma2, s, routes]
+        elif observable == "width":
+            cols = [t_s, t_red, w2 * sigma2, w2, routes]
         else:
-            s, _, w2, method = _dyn._moments(
-                model, t_red, state.sigma, red.theta, quad, state.mass, red.kappa
-            )
-            if observable == "width":
-                rows.append((t_s, t_red, w2 * sigma2, w2, method))
-            else:
-                rows.append((t_s, t_red, _dec._attenuation(state, s, w2), method))
-        ok = ok and method != "quadrature_failed"
-    return rows, ok
+            cols = [t_s, t_red, _dec._attenuation(state, s, w2, _dyn._ARRAY.exp), routes]
+    return cols, "quadrature_failed" not in routes
 
 
 def _run_time_command(spec, out):
-    rows, ok = _time_rows(spec.command, spec.grid, *_reduced_setup(spec.raw), spec.quad)
-    _emit(spec, out, _COLUMNS[spec.command], rows)
+    cols, ok = _time_rows(spec.command, spec.grid, *_reduced_setup(spec.raw), spec.quad)
+    _emit(spec, out, _COLUMNS[spec.command], [cols])
     return 0 if ok else 3
 
 
@@ -156,21 +170,17 @@ def _run_profile(spec, out):
     red, model, state = _reduced_setup(spec.raw)
     t_red = spec.time_s / red.scale_time
     sigma = red.scale_length
-    x_red = [float(x) / sigma for x in spec.grid.values()]
     pairs = _dec.probability_profile(
-        state, model, t_red, red.theta, x_red, cfg=spec.quad, hbar=red.kappa
+        state, model, t_red, red.theta, spec.grid.values() / sigma, cfg=spec.quad, hbar=red.kappa
     )
-    rows = [(xr * sigma, xr, p / sigma, p) for xr, p in pairs]
-    _emit(spec, out, _COLUMNS["profile"], rows)
+    x_red, p = np.array(pairs).T
+    _emit(spec, out, _COLUMNS["profile"], [[x_red * sigma, x_red, p / sigma, p]])
     return 0
 
 
 def _run_vfun(spec, out):
-    rows = []
-    for x in spec.grid.values():
-        res = v_function(float(x))
-        rows.append((float(x), res.value, res.method, res.est_error))
-    _emit(spec, out, _COLUMNS["vfun"], rows)
+    x = spec.grid.values()
+    _emit(spec, out, _COLUMNS["vfun"], [[x, *_v_array(x)]])
     return 0
 
 
@@ -191,14 +201,15 @@ def _run_sweep(spec, out):
         raise ValueError(f"unknown sweep observable {observable!r}")
     if observable != "tau-d" and spec.grid is None:
         raise ValueError("grid is required for time-observable sweeps")
-    rows = []
+    blocks = []
     ok = True
     for value in sorted(float(v) for v in values):
         setup = _reduced_setup({**spec.raw, name: value})
-        value_rows, value_ok = _time_rows(observable, spec.grid, *setup, spec.quad)
-        rows.extend((name, value) + row for row in value_rows)
+        cols, value_ok = _time_rows(observable, spec.grid, *setup, spec.quad)
+        n = len(cols[0])
+        blocks.append([[name] * n, [value] * n, *cols])
         ok = ok and value_ok
-    _emit(spec, out, ("param", "value") + _COLUMNS[observable], rows)
+    _emit(spec, out, ("param", "value") + _COLUMNS[observable], blocks)
     return 0 if ok else 3
 
 

@@ -63,9 +63,12 @@ class DecoherenceReport:
     n_evals: int
 
 
-def _attenuation(state, s, w2):
-    """exp(-s d^2 / (8 sigma^2 w^2)); exactly 1 at t = 0, where s = 0."""
-    return math.exp(-s * state.d ** 2 / (8.0 * state.sigma ** 2 * w2))
+def _attenuation(state, s, w2, exp=math.exp):
+    """exp(-s d^2 / (8 sigma^2 w^2)); exactly 1 at t = 0, where s = 0.
+
+    s and w2 are floats, or arrays with an elementwise exp.
+    """
+    return exp(-s * state.d ** 2 / (8.0 * state.sigma ** 2 * w2))
 
 
 def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0):

@@ -12,9 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bath as _bath
 from .quadrature import integrate_fluctuation, scaled
-from .specfun import EULER_GAMMA, e1_scaled, ei_scaled_pos, v_function
+from .specfun import (
+    EULER_GAMMA,
+    _exp_integrals_array,
+    _libm,
+    _v_array,
+    e1_scaled,
+    ei_scaled_pos,
+    v_function,
+)
 
 
 class QuadratureFailure(RuntimeError):
@@ -43,50 +53,132 @@ def _check_time(t):
         raise ValueError(f"t must be non-negative and finite, got {t!r}")
 
 
-def _v(x):
-    return v_function(x).value
+class _ScalarOps:
+    """Floats: the scalar special functions, looked up at call time, and math."""
+
+    exp = staticmethod(math.exp)
+    expm1 = staticmethod(math.expm1)
+
+    @staticmethod
+    def v(x):
+        return v_function(x).value
+
+    @staticmethod
+    def v_pair(x, y):
+        return v_function(x).value, v_function(y).value
+
+    @staticmethod
+    def exp_integrals(x):
+        return ei_scaled_pos(x), e1_scaled(x)
+
+    @staticmethod
+    def cube(x):
+        return x ** 3
+
+    def nonzero(self, f, x, *args):
+        """f(x, *args, self), or exactly 0 at x = 0."""
+        return 0.0 if x == 0.0 else f(x, *args, self)
 
 
-def _degenerate_msd_bracket(u, eps):
+class _ArrayOps:
+    """Float arrays: the specfun array kernels and math element by element."""
+
+    exp_integrals = staticmethod(_exp_integrals_array)
+
+    @staticmethod
+    def v(x):
+        return _v_array(x)[0]
+
+    @staticmethod
+    def v_pair(x, y):
+        """V at both arrays in one kernel pass."""
+        both = _v_array(np.concatenate((x, y)))[0]
+        return both[:x.size], both[x.size:]
+
+    @staticmethod
+    def exp(x):
+        return _libm(math.exp, x)
+
+    @staticmethod
+    def expm1(x):
+        return _libm(math.expm1, x)
+
+    @staticmethod
+    def cube(x):
+        return _libm(lambda y: y ** 3, x)
+
+    def nonzero(self, f, x, *args):
+        """f(x, *args, self) on the nonzero elements of x, exactly 0 elsewhere."""
+        out = np.zeros_like(x)
+        hit = x != 0.0
+        out[hit] = f(x[hit], *args, self)
+        return out
+
+
+# the closed forms below are written once for both: the same operations in
+# the same order give the same bits for a float and for each array element
+_SCALAR = _ScalarOps()
+_ARRAY = _ArrayOps()
+
+
+def _rates(model, m):
+    """Rate pair of the memory bath; None for the Ohmic bath."""
+    return None if model.kind == _bath.OHMIC else _bath.rates(model, m)
+
+
+def _degenerate_msd_bracket(u, eps, ops=_SCALAR):
     """Limit of the two-rate combination as the rates coalesce, to O(eps^2)."""
-    if u == 0.0:
-        return 0.0
-    v0 = _v(u)
-    es = ei_scaled_pos(u)
-    e1s = e1_scaled(u)
+    v0 = ops.v(u)
+    es, e1s = ops.exp_integrals(u)
     v1 = 0.5 * (es + e1s)
     v2 = 0.5 * (e1s - es)
     v3 = v1 - 1.0 / u
-    return v0 - 0.5 * u * v1 + 0.5 * eps * eps * (u * u * v2 - u * v1 - u ** 3 * v3 / 6.0)
+    return v0 - 0.5 * u * v1 + 0.5 * eps * eps * (u * u * v2 - u * v1 - ops.cube(u) * v3 / 6.0)
 
 
-def _degenerate_commutator_bracket(u, eps):
-    if u == 0.0:
-        return 0.0
-    decay = math.exp(-u)
+def _degenerate_commutator_bracket(u, eps, ops=_SCALAR):
+    decay = ops.exp(-u)
     return (
-        -math.expm1(-u)
+        -ops.expm1(-u)
         - 0.5 * u * decay
-        - 0.5 * eps * eps * decay * (u + u * u + u ** 3 / 6.0)
+        - 0.5 * eps * eps * decay * (u + u * u + ops.cube(u) / 6.0)
     )
+
+
+def _msd_closed(t, model, rp, m, hbar, ops):
+    """Zero-temperature s at t > 0; rp is _rates(model, m)."""
+    pref = 2.0 * hbar / (math.pi * model.zeta)
+    if rp is None:
+        return pref * ops.v(model.zeta * t / m)
+    if rp.near_degenerate:
+        u = 0.5 * (rp.Omega + rp.gamma) * t
+        eps = (rp.Omega - rp.gamma) / (rp.Omega + rp.gamma)
+        return pref * ops.nonzero(_degenerate_msd_bracket, u, eps)
+    o2 = rp.Omega * rp.Omega
+    g2 = rp.gamma * rp.gamma
+    v_slow, v_fast = ops.v_pair(rp.gamma * t, rp.Omega * t)
+    return pref * (o2 * v_slow - g2 * v_fast) / (o2 - g2)
+
+
+def _commutator_closed(t, model, rp, m, hbar, ops):
+    """C at t > 0; rp is _rates(model, m)."""
+    pref = hbar / model.zeta
+    if rp is None:
+        return -pref * ops.expm1(-model.zeta * t / m)
+    if rp.near_degenerate:
+        u = 0.5 * (rp.Omega + rp.gamma) * t
+        eps = (rp.Omega - rp.gamma) / (rp.Omega + rp.gamma)
+        return pref * ops.nonzero(_degenerate_commutator_bracket, u, eps)
+    o2 = rp.Omega * rp.Omega
+    g2 = rp.gamma * rp.gamma
+    bracket = -o2 * ops.expm1(-rp.gamma * t) + g2 * ops.expm1(-rp.Omega * t)
+    return pref * bracket / (o2 - g2)
 
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
     """Zero-temperature mean-square displacement, closed form."""
     _check_time(t)
-    if t == 0.0:
-        return 0.0
-    pref = 2.0 * hbar / (math.pi * model.zeta)
-    if model.kind == _bath.OHMIC:
-        return pref * _v(model.zeta * t / m)
-    rp = _bath.rates(model, m)
-    if rp.near_degenerate:
-        u = 0.5 * (rp.Omega + rp.gamma) * t
-        eps = (rp.Omega - rp.gamma) / (rp.Omega + rp.gamma)
-        return pref * _degenerate_msd_bracket(u, eps)
-    o2 = rp.Omega * rp.Omega
-    g2 = rp.gamma * rp.gamma
-    return pref * (o2 * _v(rp.gamma * t) - g2 * _v(rp.Omega * t)) / (o2 - g2)
+    return _SCALAR.nonzero(_msd_closed, t, model, _rates(model, m), m, hbar)
 
 
 def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
@@ -103,23 +195,10 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     """C(t) >= 0 with [x(0), x(t)] = i C(t); temperature independent."""
     _check_time(t)
-    if t == 0.0:
-        return 0.0
-    pref = hbar / model.zeta
-    if model.kind == _bath.OHMIC:
-        return -pref * math.expm1(-model.zeta * t / m)
-    rp = _bath.rates(model, m)
-    if rp.near_degenerate:
-        u = 0.5 * (rp.Omega + rp.gamma) * t
-        eps = (rp.Omega - rp.gamma) / (rp.Omega + rp.gamma)
-        return pref * _degenerate_commutator_bracket(u, eps)
-    o2 = rp.Omega * rp.Omega
-    g2 = rp.gamma * rp.gamma
-    bracket = -o2 * math.expm1(-rp.gamma * t) + g2 * math.expm1(-rp.Omega * t)
-    return pref * bracket / (o2 - g2)
+    return _SCALAR.nonzero(_commutator_closed, t, model, _rates(model, m), m, hbar)
 
 
-def _msd(model, t, theta, cfg, m, hbar, context=None):
+def _msd(model, rp, t, theta, cfg, m, hbar, context=None):
     """s(t) and its route: closed_form, quadrature or quadrature_failed.
 
     With a context, a failed quadrature raises QuadratureFailure instead of
@@ -128,7 +207,7 @@ def _msd(model, t, theta, cfg, m, hbar, context=None):
     if t == 0.0:
         return 0.0, "closed_form"
     if theta == 0.0:
-        return msd_zero_T(model, t, m=m, hbar=hbar), "closed_form"
+        return _msd_closed(t, model, rp, m, hbar, _SCALAR), "closed_form"
     res = msd_finite_T(model, t, theta, cfg=cfg, m=m, hbar=hbar)
     if not res.failed:
         return res.value, "quadrature"
@@ -143,10 +222,52 @@ def _moments(model, t, sigma, theta, cfg, m, hbar, context=None):
     The squared commutator enters with a positive sign because the
     commutator itself is purely imaginary.
     """
-    s, route = _msd(model, t, theta, cfg, m, hbar, context)
-    c = commutator_magnitude(model, t, m=m, hbar=hbar)
+    _check_time(t)
+    rp = _rates(model, m)
+    s, route = _msd(model, rp, t, theta, cfg, m, hbar, context)
+    c = _SCALAR.nonzero(_commutator_closed, t, model, rp, m, hbar)
     half = c / (2.0 * sigma)
     return s, c, sigma * sigma + half * half + s, route
+
+
+def _zero_T_grid(closed, model, rp, t, m, hbar):
+    """A closed form over a time array, exactly 0 where t = 0.
+
+    Raises what the point-by-point evaluation would raise first: a failure
+    of the closed form at an earlier time, else _check_time's error for the
+    first negative or non-finite time.
+    """
+    bad = ~(np.isfinite(t) & (t >= 0.0))
+    stop = int(bad.argmax()) if bad.any() else t.size
+    out = _ARRAY.nonzero(closed, t[:stop], model, rp, m, hbar)
+    if stop < t.size:
+        _check_time(float(t[stop]))
+    return out
+
+
+def _moments_grid(model, t, sigma, theta, cfg, m, hbar, with_s=True, with_c=True):
+    """_moments over a time array: arrays s, C, w^2 and the list of routes.
+
+    At T = 0 s comes from the array closed forms; at T > 0 each time goes
+    through _msd and its quadrature. C is always an array closed form. A
+    part left out by with_s or with_c, and w^2 unless both, is None, as are
+    the routes without s.
+    """
+    rp = _rates(model, m)
+    s = c = w2 = routes = None
+    if with_s and theta == 0.0:
+        s = _zero_T_grid(_msd_closed, model, rp, t, m, hbar)
+        routes = ["closed_form"] * t.size
+    elif with_s:
+        pairs = [_msd(model, rp, x, theta, cfg, m, hbar) for x in t.tolist()]
+        s = np.array([p[0] for p in pairs])
+        routes = [p[1] for p in pairs]
+    if with_c:
+        c = _zero_T_grid(_commutator_closed, model, rp, t, m, hbar)
+    if with_s and with_c:
+        half = c / (2.0 * sigma)
+        w2 = sigma * sigma + half * half + s
+    return s, c, w2, routes
 
 
 def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,3 +271,39 @@ class TestValidation:
         assert doc["command"] == "commutator"
         assert doc["columns"] == ["t_s", "t_reduced", "C_m2", "C_reduced"]
         assert len(doc["rows"]) == 3
+
+
+class RecordingSink:
+    """Text stream that keeps every write separately."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestChunkedEmission:
+    def test_writes_are_bounded_and_join_to_the_unchunked_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(LAB))
+        argv = ["--config", str(path), "--command", "msd", "--grid", "0,99999,100000,lin"]
+
+        def writes():
+            sink = RecordingSink()
+            with redirect_stdout(sink):
+                assert cli.main(argv) == 0
+            return sink.parts
+
+        chunk = cli._CHUNK_ROWS
+        parts = writes()
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10 ** 7)
+        whole = "".join(writes())
+        assert max(part.count("\n") for part in parts) <= chunk
+        assert len(parts) >= 1 + 100000 // chunk
+        assert "".join(parts) == whole
+        assert whole.count("\n") == 100001

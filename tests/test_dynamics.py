@@ -8,6 +8,8 @@ import pytest
 from qbrownian.bath import ohmic, rates, single_relaxation_time
 from qbrownian.dynamics import (
     QuadratureFailure,
+    _moments,
+    _moments_grid,
     commutator_magnitude,
     evaluate_trajectory,
     mean_square_velocity,
@@ -228,3 +230,71 @@ class TestMonotonicity:
             for series in (s, c, w2):
                 diffs = np.diff(series)
                 assert np.all(diffs >= -1e-12 * np.abs(series[-1]))
+
+
+def near_degenerate(gap):
+    """Memory bath with 1 - 4 zeta tau / m = gap."""
+    return single_relaxation_time(1.0, 0.25 * (1.0 - gap))
+
+
+GRID_BATHS = {
+    "ohmic": ohmic(1.0),
+    "two_rate": SRT01,
+    "gap_1e-8": near_degenerate(1e-8),
+    "gap_1e-12": near_degenerate(1e-12),
+    "gap_1e-14": near_degenerate(1e-14),
+}
+
+
+class TestMomentsGrid:
+    """The array _moments_grid gives the scalar _moments' bits, compared with ==."""
+
+    def test_baths_cover_every_closed_form(self):
+        flags = [rates(GRID_BATHS[k]).near_degenerate for k in ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")]
+        assert flags == [False, False, True, True]
+
+    @pytest.mark.parametrize("name", list(GRID_BATHS))
+    def test_zero_temperature_matches_scalar(self, name):
+        model = GRID_BATHS[name]
+        ts = np.concatenate(([0.0, 5e-324], np.geomspace(1e-14, 1e6, 400), [1.0, 0.0]))
+        sigma, m, hbar = 0.7, 1.0, 0.9
+        # subnormal times give nan inside the degeneracy expansion, in both;
+        # bytes compare nan and the sign of zero too
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, c, w2, routes = _moments_grid(model, ts, sigma, 0.0, None, m, hbar)
+        ref = [_moments(model, t, sigma, 0.0, None, m, hbar) for t in ts.tolist()]
+        for got, i in ((s, 0), (c, 1), (w2, 2)):
+            assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
+        assert routes == [r[3] for r in ref]
+
+    def test_finite_temperature_matches_scalar(self):
+        ts = np.array([0.0, 0.05, 2.0])
+        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.5, None, 1.0, 1.0)
+        ref = [_moments(SRT01, t, 1.0, 0.5, None, 1.0, 1.0) for t in ts.tolist()]
+        assert (s.tolist(), c.tolist(), w2.tolist()) == tuple([r[i] for r in ref] for i in range(3))
+        assert routes == ["closed_form", "quadrature", "quadrature"]
+
+    def test_parts_left_out(self):
+        ts = np.array([0.0, 1.0])
+        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.0, None, 1.0, 1.0, with_c=False)
+        assert c is None and w2 is None and s.tolist() == [0.0, msd_zero_T(SRT01, 1.0)]
+        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.5, None, 1.0, 1.0, with_s=False)
+        assert s is None and w2 is None and routes is None
+        assert c.tolist() == [0.0, commutator_magnitude(SRT01, 1.0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_rejects_the_first_bad_time_like_scalar(self, bad, theta):
+        with pytest.raises(ValueError) as ref:
+            _moments(SRT01, bad, 1.0, theta, None, 1.0, 1.0)
+        with pytest.raises(ValueError) as got:
+            _moments_grid(SRT01, np.array([0.0, bad, -2.0]), 1.0, theta, None, 1.0, 1.0)
+        assert str(got.value) == str(ref.value)
+
+    def test_closed_form_failure_before_a_bad_time_comes_first(self):
+        # Omega t overflows to inf at 1e308, before the nan time is reached
+        with pytest.raises(ValueError) as ref:
+            _moments(SRT01, 1e308, 1.0, 0.0, None, 1.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+            _moments_grid(SRT01, np.array([1.0, 1e308, math.nan]), 1.0, 0.0, None, 1.0, 1.0)
+        assert str(got.value) == str(ref.value) == "x must be finite and non-negative, got inf"

@@ -10,9 +10,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbrownian.specfun import (
     EULER_GAMMA,
+    _exp_integrals_array,
+    _v_array,
     coth_kernel,
     e1_scaled,
     ei_scaled_pos,
@@ -194,3 +198,68 @@ class TestCothKernel:
             coth_kernel(0.0, 1.0)
         with pytest.raises(ValueError):
             coth_kernel(np.array([1.0, -2.0]), 1.0)
+
+
+# the branch points of V (1e-2, 1e3), of e^x E1 (1) and of e^-x Ei (40)
+BRANCHES = (1e-2, 1.0, 40.0, 1e3)
+NEIGHBOURS = np.array(
+    [y for b in BRANCHES for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+)
+DENSE = np.concatenate(([0.0], np.geomspace(1e-300, 1e6, 20001), NEIGHBOURS))
+
+
+def same_bits(got, ref):
+    """Equal as doubles, the sign of zero included."""
+    return got.tobytes() == np.array(ref, dtype=float).tobytes()
+
+
+def assert_v_array_is_scalar(x):
+    value, method, est = _v_array(x)
+    ref = [v_function(xi) for xi in x.tolist()]
+    assert same_bits(value, [r.value for r in ref])
+    assert method == [r.method for r in ref]
+    assert same_bits(est, [r.est_error for r in ref])
+
+
+def assert_exp_integrals_array_are_scalar(x):
+    es, e1s = _exp_integrals_array(x)
+    assert same_bits(es, [ei_scaled_pos(xi) for xi in x.tolist()])
+    assert same_bits(e1s, [e1_scaled(xi) for xi in x.tolist()])
+
+
+class TestArrayKernelsBitwise:
+    """The array kernels give the scalar functions' bits, not approximately."""
+
+    def test_v_dense_log_grid_and_branch_neighbours(self):
+        assert_v_array_is_scalar(DENSE)
+
+    def test_exp_integrals_dense_log_grid_and_branch_neighbours(self):
+        assert_exp_integrals_array_are_scalar(DENSE[DENSE > 0.0])
+
+    def test_v_at_zero(self):
+        assert_v_array_is_scalar(np.zeros(3))
+
+    def test_unsorted_repeated_and_huge_arguments(self):
+        x = np.array([40.0, 1e-5, 1e4, 0.5, 40.0, 2.0, 0.0, 1e-2, 1.7e308, 1e200])
+        assert_v_array_is_scalar(x)
+        # e1_scaled's continued fraction does not converge at 1.7e308
+        assert_exp_integrals_array_are_scalar(x[(x > 0.0) & (x <= 1e200)])
+
+    def test_empty(self):
+        value, method, est = _v_array(np.array([]))
+        assert value.size == 0 and method == [] and est.size == 0
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
+    def test_v_property(self, xs):
+        x = np.array(xs)
+        assert_v_array_is_scalar(x)
+        assert_exp_integrals_array_are_scalar(x[x > 0.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -0.5e-300])
+    def test_rejects_like_scalar(self, bad):
+        with pytest.raises(ValueError) as ref:
+            v_function(bad)
+        with pytest.raises(ValueError) as got:
+            _v_array(np.array([1.0, bad, -2.0]))
+        assert str(got.value) == str(ref.value)
