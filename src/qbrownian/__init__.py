@@ -10,10 +10,8 @@ from .bath import (
     BathModel,
     RatePair,
     UnderdampedBathError,
-    mu_tilde,
     ohmic,
     rates,
-    response_im,
     single_relaxation_time,
 )
 from .decoherence import (
@@ -24,17 +22,13 @@ from .decoherence import (
     attenuation_intermediate,
     attenuation_short,
     decoherence_time,
-    fringe_visibility,
     probability_profile,
     tau0,
 )
 from .dynamics import (
     QuadratureFailure,
-    TrajectoryPoint,
     commutator_magnitude,
-    evaluate_trajectory,
     mean_square_velocity,
-    mean_square_velocity_approx,
     msd_finite_T,
     msd_intermediate,
     msd_short_time,
@@ -45,7 +39,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     integrate_fluctuation,
-    integrate_generic,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -53,10 +46,7 @@ from .specfun import (
     coth_kernel,
     e1_scaled,
     ei_scaled_pos,
-    v_asymptotic,
     v_function,
-    v_series,
-    v_small,
 )
 from .units import (
     BOLTZMANN,
@@ -65,9 +55,7 @@ from .units import (
     PhysicalParams,
     ReducedParams,
     params_from_dict,
-    params_from_json,
     reduce,
-    restore,
     thermal_ratio,
 )
 

@@ -1,7 +1,7 @@
 """Dissipation models for the free Brownian particle.
 
-The memory-function transform, the imaginary part of the coordinate
-response on the real axis, and the fast/slow rate pair of the
+The bath models, the denominator polynomial of the coordinate response
+on the real axis, and the fast/slow rate pair of the
 single-relaxation-time bath.
 """
 
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 OHMIC = "ohmic"
 SINGLE_RELAXATION_TIME = "single_relaxation_time"
@@ -60,36 +58,10 @@ class RatePair:
     near_degenerate: bool = False
 
 
-def mu_tilde(model, z):
-    """Fourier transform of the memory function, defined for Im z >= 0."""
-    z = complex(z)
-    if z.imag < 0.0:
-        raise ValueError(f"transform requires Im z >= 0, got {z!r}")
-    if model.kind == OHMIC:
-        return complex(model.zeta)
-    return model.zeta / (1.0 - 1j * z * model.tau)
-
-
 def _denominator_coeffs(model, m):
     """Coefficients (a, b, c) of D(w)/w = a w^4 + b w^2 + c, all positive."""
     zeta, tau = model.zeta, model.tau
     return m * m * tau * tau, m * m - 2.0 * m * zeta * tau, zeta * zeta
-
-
-def response_im(model, omega, m=1.0):
-    """Im alpha(omega + i0+) on the positive real axis.
-
-    Evaluated from the real polynomial zeta / (w (a w^4 + b w^2 + c)),
-    which is cancellation-free for every admissible parameter set.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(omega, dtype=float)
-    if not np.all(arr > 0.0):
-        raise ValueError("omega must be positive")
-    a, b, c = _denominator_coeffs(model, m)
-    w2 = arr * arr
-    out = model.zeta / (arr * ((a * w2 + b) * w2 + c))
-    return float(out) if np.isscalar(omega) else out
 
 
 def rates(model, m=1.0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,11 @@ def _reduced_setup(raw):
         model = _bath.ohmic(1.0)
     else:
         model = _bath.single_relaxation_time(1.0, red.tau_hat)
-    return red, model, _dec.CatState(1.0, red.d_hat, 1.0)
+    with warnings.catch_warnings():
+        # reduce has already warned about a narrow separation
+        warnings.simplefilter("ignore", _units.NarrowSeparationWarning)
+        state = _dec.CatState(1.0, red.d_hat, 1.0)
+    return red, model, state
 
 
 def _time_rows(observable, grid, red, model, state, quad):
@@ -170,10 +175,9 @@ def _run_profile(spec, out):
     red, model, state = _reduced_setup(spec.raw)
     t_red = spec.time_s / red.scale_time
     sigma = red.scale_length
-    pairs = _dec.probability_profile(
+    x_red, p = _dec.probability_profile(
         state, model, t_red, red.theta, spec.grid.values() / sigma, cfg=spec.quad, hbar=red.kappa
     )
-    x_red, p = np.array(pairs).T
     _emit(spec, out, _COLUMNS["profile"], [[x_red * sigma, x_red, p / sigma, p]])
     return 0
 

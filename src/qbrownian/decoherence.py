@@ -1,10 +1,9 @@
 """Cat-state decoherence observables.
 
 Attenuation of the interference term, the characteristic times tau0 and
-tau_d, the full spatial probability profile, and the fringe-visibility
-cross-check. The commutator convention [x(0), x(t)] = i C(t) makes every
-quantity here real; the cosine fringe argument is C(t) x d / (4 sigma^2
-w^2).
+tau_d, and the full spatial probability profile. The commutator
+convention [x(0), x(t)] = i C(t) makes every quantity here real; the
+cosine fringe argument is C(t) x d / (4 sigma^2 w^2).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class CatState:
                 f"d = {self.d!r} is below 3*sigma = {3.0 * self.sigma!r}; the "
                 "cat-state formulas assume well-separated packets",
                 NarrowSeparationWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -228,7 +227,7 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
 
 
 def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
-    """Cat-state probability density on x_grid, as (x, P) pairs.
+    """Cat-state probability density on x_grid, as the arrays (x, P).
 
     Two packet terms centered at +-d/2 plus the attenuated interference
     term; time-dependent moments are evaluated once per call.
@@ -242,10 +241,6 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
     s, c, w2, _ = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
     sigma2 = state.sigma * state.sigma
     d = state.d
-    # the attenuation in its own product order, not _attenuation's:
-    # (-s d) d and -s d^2 round apart in about a third of cases, and the
-    # profile output has always used this order
-    atten = math.exp(-s * d * d / (8.0 * sigma2 * w2))
     norm = 2.0 * (1.0 + math.exp(-d * d / (8.0 * sigma2)))
     gauss = 1.0 / math.sqrt(2.0 * math.pi * w2)
 
@@ -253,28 +248,6 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
         return gauss * np.exp(-((x - center) ** 2) / (2.0 * w2))
 
     k = c * d / (4.0 * sigma2 * w2)
-    interference = (
-        2.0 * math.exp(-d * d / (8.0 * w2)) * atten * packet(0.0) * np.cos(k * x)
-    )
-    p = (packet(0.5 * d) + packet(-0.5 * d) + interference) / norm
-    return list(zip(x.tolist(), p.tolist()))
-
-
-def fringe_visibility(state, model, t, theta=0.0, cfg=None, hbar=1.0):
-    """Interference factor over twice the geometric mean of the packet terms.
-
-    Evaluated at x = 0 in log space (the packet terms underflow for large
-    separations); the ratio reduces identically to the attenuation
-    coefficient.
-    """
-    _dyn._check_time(t)
-    s, _, w2, _ = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
-    d = state.d
     atten = _attenuation(state, s, w2)
-    log_p0_center = -0.5 * math.log(2.0 * math.pi * w2)
-    # numerator: interference factor at x = 0
-    log_num = math.log(2.0) - d * d / (8.0 * w2) + math.log(atten) + log_p0_center
-    # denominator: twice the geometric mean of the packets at x = 0
-    log_packet = log_p0_center - d * d / (8.0 * w2)
-    log_den = math.log(2.0) + log_packet
-    return math.exp(log_num - log_den)
+    interference = 2.0 * math.exp(-d * d / (8.0 * w2)) * atten * packet(0.0) * np.cos(k * x)
+    return x, (packet(0.5 * d) + packet(-0.5 * d) + interference) / norm

@@ -10,7 +10,6 @@ the reduced units used internally by the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from . import bath as _bath
 from .quadrature import integrate_fluctuation, scaled
 from .specfun import (
     EULER_GAMMA,
+    _MIN_NORMAL,
     _exp_integrals_array,
     _libm,
     _v_array,
@@ -38,19 +38,17 @@ class QuadratureFailure(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """Observables at one instant: displacement, commutator, packet width."""
-
-    t: float
-    s: float
-    C: float
-    w2: float
-
-
 def _check_time(t):
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be non-negative and finite, got {t!r}")
+
+
+def _cube(x):
+    """x**3 as float power rounds it; inf where that power would raise OverflowError."""
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.inf
 
 
 class _ScalarOps:
@@ -58,6 +56,8 @@ class _ScalarOps:
 
     exp = staticmethod(math.exp)
     expm1 = staticmethod(math.expm1)
+    cube = staticmethod(_cube)
+    maximum = staticmethod(max)
 
     @staticmethod
     def v(x):
@@ -72,8 +72,8 @@ class _ScalarOps:
         return ei_scaled_pos(x), e1_scaled(x)
 
     @staticmethod
-    def cube(x):
-        return x ** 3
+    def where(cond, a, b):
+        return a if cond else b
 
     def nonzero(self, f, x, *args):
         """f(x, *args, self), or exactly 0 at x = 0."""
@@ -84,6 +84,8 @@ class _ArrayOps:
     """Float arrays: the specfun array kernels and math element by element."""
 
     exp_integrals = staticmethod(_exp_integrals_array)
+    maximum = staticmethod(np.maximum)
+    where = staticmethod(np.where)
 
     @staticmethod
     def v(x):
@@ -105,7 +107,7 @@ class _ArrayOps:
 
     @staticmethod
     def cube(x):
-        return _libm(lambda y: y ** 3, x)
+        return _libm(_cube, x)
 
     def nonzero(self, f, x, *args):
         """f(x, *args, self) on the nonzero elements of x, exactly 0 elsewhere."""
@@ -127,21 +129,29 @@ def _rates(model, m):
 
 
 def _degenerate_msd_bracket(u, eps, ops=_SCALAR):
-    """Limit of the two-rate combination as the rates coalesce, to O(eps^2)."""
+    """Limit of the two-rate combination as the rates coalesce, to O(eps^2).
+
+    Where u**3 overflows, the O(eps^2) bracket takes its large-u limit -7/3.
+    """
     v0 = ops.v(u)
     es, e1s = ops.exp_integrals(u)
     v1 = 0.5 * (es + e1s)
     v2 = 0.5 * (e1s - es)
-    v3 = v1 - 1.0 / u
-    return v0 - 0.5 * u * v1 + 0.5 * eps * eps * (u * u * v2 - u * v1 - ops.cube(u) * v3 / 6.0)
+    # 1/u overflows at subnormal u, where u**3 is 0 and its product must stay 0
+    v3 = v1 - 1.0 / ops.maximum(u, _MIN_NORMAL)
+    u3 = ops.cube(u)
+    corr = ops.where(u3 == math.inf, -7.0 / 3.0, u * u * v2 - u * v1 - u3 * v3 / 6.0)
+    return v0 - 0.5 * u * v1 + 0.5 * eps * eps * corr
 
 
 def _degenerate_commutator_bracket(u, eps, ops=_SCALAR):
+    """As _degenerate_msd_bracket; the O(eps^2) term is 0 where u**3 overflows."""
     decay = ops.exp(-u)
+    u3 = ops.cube(u)
     return (
         -ops.expm1(-u)
         - 0.5 * u * decay
-        - 0.5 * eps * eps * decay * (u + u * u + ops.cube(u) / 6.0)
+        - ops.where(u3 == math.inf, 0.0, 0.5 * eps * eps * decay * (u + u * u + u3 / 6.0))
     )
 
 
@@ -295,13 +305,6 @@ def mean_square_velocity(model, m=1.0, hbar=1.0):
     )
 
 
-def mean_square_velocity_approx(model, m=1.0, hbar=1.0):
-    """Leading logarithm of the mean-square velocity, diagnostic variant."""
-    if model.kind == _bath.OHMIC:
-        raise ValueError("the logarithmic approximation needs a finite relaxation time")
-    return -hbar * model.zeta / (math.pi * m * m) * math.log(model.zeta * model.tau / m)
-
-
 def msd_short_time(model, t, m=1.0, hbar=1.0):
     """Ballistic law <v^2> t^2, valid for t much below the bath time."""
     _check_time(t)
@@ -322,11 +325,3 @@ def msd_intermediate(model, t, m=1.0, hbar=1.0):
         * t
         * (math.log(zt) + EULER_GAMMA - 1.5)
     )
-
-
-def evaluate_trajectory(model, ts, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
-    """TrajectoryPoint per time; quadrature is used only when theta > 0."""
-    return [
-        TrajectoryPoint(t, *_moments(model, t, sigma, theta, cfg, m, hbar, "trajectory")[:3])
-        for t in ts
-    ]

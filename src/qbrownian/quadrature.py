@@ -24,7 +24,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_fluctuation",
-    "integrate_generic",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
@@ -62,6 +61,9 @@ _W_G[1:14:2] = list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1
 
 _TAIL_SAFETY = 4.0
 _MAX_GENERATIONS = 60
+# below this multiple of the problem's lowest frequency scale the integrand
+# switches to its series form
+_OMEGA_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_panels: int = 4096
-    omega_epsilon: float = 1e-6  # series-branch threshold, times the problem scale
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_panels < 16:
             raise ValueError("max_panels must be at least 16")
-        if not (self.omega_epsilon > 0.0):
-            raise ValueError("omega_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class QuadratureResult:
     panels_used: int
     tail_bound: float
     failed: bool = False
-    panel_log: tuple | None = None
 
 
 def _gk15(fun, lo, hi):
@@ -130,8 +128,7 @@ def _adaptive(fun, edges, cfg, target_of_value):
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], nv])
         errs = np.concatenate([errs[keep], ne])
-    order = np.argsort(lo)
-    return math.fsum(vals), float(errs.sum()), lo[order], hi[order]
+    return math.fsum(vals), float(errs.sum()), lo.size
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def _coth_tail_bound(model, w_cut, theta, m):
     return f * excess
 
 
-def _make_integrand(model, t, theta, kernel, m, omega_eps, force=None):
+def _make_integrand(model, t, theta, kernel, m, omega_eps):
     """Integrand as a vectorized callable, with a series branch near omega = 0."""
     a, b, c = _bath._denominator_coeffs(model, m)
     zeta = model.zeta
@@ -221,11 +218,6 @@ def _make_integrand(model, t, theta, kernel, m, omega_eps, force=None):
             return (w * t * t / (2.0 * zeta * corr)) * kern
         occ = 2.0 * theta + w * w / (6.0 * theta)
         return (t * t / (2.0 * zeta * corr)) * occ * kern
-
-    if force == "direct":
-        return direct
-    if force == "series":
-        return series
 
     def fun(w):
         small = w < omega_eps
@@ -312,8 +304,6 @@ def integrate_fluctuation(
     kernel="one_minus_cos",
     cfg=None,
     m=1.0,
-    keep_panel_log=False,
-    _w_multiplier=1.0,
 ):
     """Spectral fluctuation integral over [0, inf).
 
@@ -337,18 +327,17 @@ def integrate_fluctuation(
     omega_scale = min(1.0 / t, gamma_low)
     if theta > 0.0:
         omega_scale = min(omega_scale, 2.0 * theta)
-    omega_eps = cfg.omega_epsilon * omega_scale
+    omega_eps = _OMEGA_EPS * omega_scale
     fun = _make_integrand(model, t, theta, kernel, m, omega_eps)
 
     budget_scale = _rough_magnitude(model, t, theta, kernel, m)
     value = est = tail_bound = 0.0
-    edges_lo = edges_hi = np.array([])
     w_base = None
     for attempt in range(3):
         budget = cfg.rel_tol * budget_scale + cfg.abs_tol
         if w_base is None:
             w_base = _choose_cutoff(model, t, theta, kernel, budget, cfg, m)
-        w_cut = w_base * _w_multiplier * 4.0 ** attempt
+        w_cut = w_base * 4.0 ** attempt
 
         f, f1, f2 = _imalpha_derivs(model, w_cut, m)
         s_w = math.sin(w_cut * t)
@@ -373,7 +362,7 @@ def integrate_fluctuation(
             tot = abs(core_value + tail_value)
             return max(0.5 * (cfg.rel_tol * tot + cfg.abs_tol) - tail_bound, 0.1 * cfg.abs_tol)
 
-        core, est, edges_lo, edges_hi = _adaptive(fun, edges, cfg, target)
+        core, est, panels = _adaptive(fun, edges, cfg, target)
         value = core + tail_value
         budget_scale = max(abs(value), budget_scale * 1e-3)
         if est + tail_bound <= cfg.rel_tol * abs(value) + cfg.abs_tol:
@@ -381,34 +370,7 @@ def integrate_fluctuation(
         w_base = None  # re-derive the cutoff from the refined magnitude
 
     failed = est + tail_bound > cfg.rel_tol * abs(value) + cfg.abs_tol
-    log = None
-    if keep_panel_log:
-        log = tuple(np.append(edges_lo, edges_hi[-1]))
-    return QuadratureResult(value, est, int(edges_lo.size), tail_bound, failed, log)
-
-
-def integrate_generic(f, a, cfg=None):
-    """Adaptive integral of f over [a, inf) via the map y = a + (1-u)/u.
-
-    f must accept numpy arrays and be integrable with decaying tail; the
-    estimate is honest but oscillatory integrands converge slowly here.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    a = float(a)
-
-    def fun(u):
-        y = a + (1.0 - u) / u
-        return f(y) / (u * u)
-
-    edges = np.unique(np.concatenate([[1e-14], np.geomspace(1e-12, 1.0, 160)]))
-
-    def target(core_value):
-        return max(0.5 * (cfg.rel_tol * abs(core_value) + cfg.abs_tol), 1e-300)
-
-    value, est, lo, hi = _adaptive(fun, edges, cfg, target)
-    failed = est > cfg.rel_tol * abs(value) + cfg.abs_tol
-    return QuadratureResult(value, est, int(lo.size), 0.0, failed)
+    return QuadratureResult(value, est, panels, tail_bound, failed)
 
 
 def scaled(result, factor):

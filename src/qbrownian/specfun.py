@@ -1,7 +1,7 @@
 """Special functions for the dissipative free particle.
 
 Scaled exponential integrals, the zero-temperature displacement kernel
-V(x), its small/large-argument expansions, and the thermal coth kernel.
+V(x) and the thermal coth kernel.
 All functions are pure and stateless.
 """
 
@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 
 _EPS = 2.220446049250313e-16
+_MIN_NORMAL = 2.2250738585072014e-308
 _MAX_SERIES_TERMS = 400
 
 # Harmonic numbers H_2, H_4, ..., H_10; coefficients of the Taylor
@@ -65,7 +65,11 @@ def e1_scaled(x):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 20000):
+    # above x = 2^1022, 1/b is subnormal: delta keeps too few bits to pass
+    # the test and no later step changes it, so the first step's h (~1/x)
+    # is returned
+    subnormal = d < _MIN_NORMAL
+    for i in range(1, 2 if subnormal else 20000):
         a = -float(i * i)
         b += 2.0
         d = a * d + b
@@ -79,6 +83,8 @@ def e1_scaled(x):
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
+    if subnormal:
+        return h
     raise RuntimeError(f"continued fraction for E1 did not converge at x={x}")
 
 
@@ -104,60 +110,6 @@ def ei_scaled_pos(x):
         if term < _EPS * total:
             break
     return total / x
-
-
-def v_small(x):
-    """Leading small-argument form of V: -(x^2/2)(log x + gamma_E - 3/2)."""
-    _check_positive(x)
-    return -0.5 * x * x * (math.log(x) + EULER_GAMMA - 1.5)
-
-
-def v_asymptotic(x, n_terms=3):
-    """Large-argument expansion log x + gamma_E - 1/x^2 - 3!/x^4 - 5!/x^6.
-
-    n_terms in {0, 1, 2, 3} selects how many inverse-power corrections
-    are included.
-    """
-    _check_positive(x)
-    if n_terms not in (0, 1, 2, 3):
-        raise ValueError("n_terms must be in {0, 1, 2, 3}")
-    total = math.log(x) + EULER_GAMMA
-    x2 = x * x
-    fac = (1.0, 6.0, 120.0)
-    p = 1.0
-    for k in range(n_terms):
-        p *= x2
-        total -= fac[k] / p
-    return total
-
-
-def v_series(x):
-    """Alternating-series representation of V.
-
-    The two entire sums are evaluated in exact rational arithmetic before
-    the final floating combination; cancellation against e^x still limits
-    this route to moderate arguments, so x <= 12 is enforced.
-    """
-    if x == 0.0:
-        return 0.0
-    _check_positive(x)
-    if x > 12.0:
-        raise ValueError("series representation is cancellation-limited to x <= 12")
-    xf = Fraction(x)
-    pos = Fraction(0)
-    neg = Fraction(0)
-    power_p = Fraction(1)
-    power_n = Fraction(1)
-    scale = math.exp(x)
-    for n in range(1, _MAX_SERIES_TERMS):
-        power_p *= xf / n
-        power_n *= -xf / n
-        pos += power_p / n
-        neg += power_n / n
-        if float(abs(power_p)) / n * scale < 1e-25:
-            break
-    lead = -(math.log(x) + EULER_GAMMA) * (math.cosh(x) - 1.0)
-    return lead - 0.5 * (math.exp(-x) * float(pos) + math.exp(x) * float(neg))
 
 
 def _v_taylor(x):
@@ -259,6 +211,7 @@ def _e1_cf_array(x):
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
     h = d
+    subnormal = d < _MIN_NORMAL  # as in e1_scaled, these stop after one step
     for i in range(1, 20000):
         if not live.size:
             return out
@@ -274,6 +227,8 @@ def _e1_cf_array(x):
         delta = d * c
         h = h * delta
         done = np.abs(delta - 1.0) < _EPS
+        if i == 1:
+            done |= subnormal
         if done.any():
             live, b, c, d, h = _retire(out, done, h, live, b, c, d, h)
     raise RuntimeError(f"continued fraction for E1 did not converge at x={float(x[live[0]])!r}")

@@ -7,7 +7,6 @@ inside the dynamical formulas. Conversion happens only at this boundary.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,21 +86,6 @@ def reduce(p):
     )
 
 
-def restore(r):
-    """Invert reduce(); round-trips to relative 1e-12."""
-    sigma = r.scale_length
-    zeta = HBAR / (r.kappa * sigma * sigma)
-    mass = zeta * r.scale_time
-    return PhysicalParams(
-        mass_kg=mass,
-        zeta=zeta,
-        tau_s=r.tau_hat * r.scale_time,
-        sigma_m=sigma,
-        d_m=r.d_hat * sigma,
-        temperature_K=r.theta * HBAR / (BOLTZMANN * r.scale_time),
-    )
-
-
 def thermal_ratio(temperature_K, gamma):
     """k T / (hbar gamma): below one means the low-temperature regime."""
     if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -129,11 +113,3 @@ def params_from_dict(data, allow_extra=()):
     params = PhysicalParams(**values)
     validate(params)
     return params
-
-
-def params_from_json(text, allow_extra=()):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
-    return params_from_dict(data, allow_extra=allow_extra)

@@ -42,10 +42,7 @@ def integrate_profile(state, model, t, theta, hbar=1.0, cfg=None):
     )
 
     def fun(xs):
-        pairs = dec.probability_profile(
-            state, model, t, theta, xs, cfg=cfg, hbar=hbar
-        )
-        return np.array([p for _, p in pairs])
+        return dec.probability_profile(state, model, t, theta, xs, cfg=cfg, hbar=hbar)[1]
 
     return gk_integrate(fun, edges)
 

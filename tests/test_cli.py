@@ -262,6 +262,14 @@ class TestValidation:
         assert proc.returncode == 2
         assert "count" in proc.stderr
 
+    def test_narrow_separation_warns_once(self, run_cli):
+        # units.reduce warns; the reduced CatState built after it stays silent
+        with pytest.warns(qbrownian.NarrowSeparationWarning) as record:
+            proc = run_cli("--command", "width", "--grid", "0,1,3,lin", config=dict(LAB, d_m=2e-9))
+        assert proc.returncode == 0, proc.stderr
+        assert len(record) == 1
+        assert record[0].filename == cli.__file__
+
     def test_json_output_shape(self, run_cli):
         proc = run_cli(
             "--command", "commutator", "--grid", "0,1,3,lin", "--output", "json",

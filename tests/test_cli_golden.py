@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 # trapped-ion example with scale_time = 1/6000 s
 LAB_WARM = dict(LAB, temperature_K=1e-12)
 LAB_NEAR = dict(LAB, tau_s=0.25 * (1.0 - 1e-8))
+# 1 - 4 zeta tau / m = 1e-14 in SI units of 1: inside the degeneracy expansion
+DEG = {"mass_kg": 1, "zeta": 1, "tau_s": 0.2499999999999975, "sigma_m": 1, "d_m": 20, "temperature_K": 0}
 CASES = {
     "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
     "msd_json": (BE9, ["--command", "msd", "--grid", "1e-9,1e-3,7,log", "--output", "json"]),
@@ -97,6 +99,10 @@ CASES = {
     ),
     # gamma t overflows to inf at the last time: V rejects it
     "msd_overflow_csv": (LAB, ["--command", "msd", "--grid", "0,1e308,3,lin"]),
+    # subnormal times, where 1/u overflows inside the degeneracy expansion
+    "msd_degenerate_subnormal_csv": (DEG, ["--command", "msd", "--grid", "0,1e-310,3,lin"]),
+    # u = 1.7e308: e^u E1(u) past 2^1022 and u**3 past the float range
+    "msd_degenerate_huge_csv": (DEG, ["--command", "msd", "--grid", "0,8.5e307,2,lin"]),
 }
 
 

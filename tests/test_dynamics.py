@@ -11,9 +11,7 @@ from qbrownian.dynamics import (
     _moments,
     _moments_grid,
     commutator_magnitude,
-    evaluate_trajectory,
     mean_square_velocity,
-    mean_square_velocity_approx,
     msd_finite_T,
     msd_intermediate,
     msd_short_time,
@@ -22,6 +20,7 @@ from qbrownian.dynamics import (
 )
 from qbrownian.quadrature import QuadratureConfig, integrate_fluctuation
 from qbrownian.specfun import EULER_GAMMA, v_function
+from oracles import mean_square_velocity_approx
 
 SRT01 = single_relaxation_time(1.0, 0.1)
 
@@ -223,11 +222,8 @@ class TestMonotonicity:
         for _ in range(10):
             tau = 10.0 ** rng.uniform(-6, math.log10(0.2))
             model = single_relaxation_time(1.0, tau)
-            points = evaluate_trajectory(model, ts, sigma=1.0)
-            s = [p.s for p in points]
-            c = [p.C for p in points]
-            w2 = [p.w2 for p in points]
-            for series in (s, c, w2):
+            points = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0)[:3] for t in ts.tolist()]
+            for series in zip(*points):
                 diffs = np.diff(series)
                 assert np.all(diffs >= -1e-12 * np.abs(series[-1]))
 
@@ -258,14 +254,33 @@ class TestMomentsGrid:
         model = GRID_BATHS[name]
         ts = np.concatenate(([0.0, 5e-324], np.geomspace(1e-14, 1e6, 400), [1.0, 0.0]))
         sigma, m, hbar = 0.7, 1.0, 0.9
-        # subnormal times give nan inside the degeneracy expansion, in both;
-        # bytes compare nan and the sign of zero too
+        # a subnormal time puts 1/u past the float range inside the
+        # degeneracy expansion; bytes compare the sign of zero too
         with np.errstate(over="ignore", invalid="ignore"):
             s, c, w2, routes = _moments_grid(model, ts, sigma, 0.0, None, m, hbar)
         ref = [_moments(model, t, sigma, 0.0, None, m, hbar) for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
         assert routes == [r[3] for r in ref]
+
+    @pytest.mark.parametrize("ts", [[5e-324, 1e-310, 5e-309, 2e-308], [3e102, 1e200, 8.5e307]])
+    def test_degeneracy_expansion_at_extreme_times(self, ts):
+        # subnormal u, where 1/u overflows, and u past the cube root of the
+        # float range, where the O(eps^2) terms take their large-u limits
+        model = GRID_BATHS["gap_1e-14"]
+        ts = np.array(ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, c, w2, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0) for t in ts.tolist()]
+        for got, i in ((s, 0), (c, 1), (w2, 2)):
+            assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
+        assert np.all(np.isfinite(w2)) and np.all(s >= 0.0) and np.all(c >= 0.0)
+        if ts[0] > 1.0:
+            # V(u) - u V'(u) / 2 -> log u + gamma_E - 1/2, and C -> hbar / zeta
+            u = (rates(model).Omega + rates(model).gamma) / 2.0 * ts
+            limit = 2.0 / math.pi * (np.log(u) + EULER_GAMMA - 0.5)
+            assert np.allclose(s, limit, rtol=1e-13, atol=0.0)
+            assert np.all(c == 1.0)
 
     def test_finite_temperature_matches_scalar(self):
         ts = np.array([0.0, 0.05, 2.0])

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from qbrownian import quadrature
 from qbrownian.bath import ohmic, rates, single_relaxation_time
 from qbrownian.quadrature import (
     QuadratureConfig,
     _make_integrand,
     _rate_scales,
     integrate_fluctuation,
-    integrate_generic,
 )
 V1 = 0.5268019044455969
 
@@ -25,7 +25,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.0}, {"abs_tol": -1.0}, {"max_panels": 8}, {"omega_epsilon": 0.0}],
+        [{"rel_tol": 0.0}, {"abs_tol": -1.0}, {"max_panels": 8}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -166,30 +166,43 @@ class TestFluctuationIntegral:
             scale = min(1.0 / t, gamma_low)
             if theta > 0.0:
                 scale = min(scale, 2.0 * theta)
-            omega_eps = 1e-6 * scale
-            direct = _make_integrand(model, t, theta, kernel, 1.0, omega_eps, force="direct")
-            series = _make_integrand(model, t, theta, kernel, 1.0, omega_eps, force="series")
-            w = np.array([omega_eps])
-            assert series(w)[0] == pytest.approx(direct(w)[0], rel=1e-8)
+            omega_eps = quadrature._OMEGA_EPS * scale
+            fun = _make_integrand(model, t, theta, kernel, 1.0, omega_eps)
+            # the series form just below the threshold, the direct form at it
+            series, direct = fun(np.array([np.nextafter(omega_eps, 0.0), omega_eps]))
+            assert series == pytest.approx(direct, rel=1e-8)
 
-    def test_panel_width_resolves_oscillation(self):
+    def test_panel_width_resolves_oscillation(self, monkeypatch):
+        # the adaptive pass only bisects, so the initial panels bound every width
         t = 10.0
-        res = integrate_fluctuation(
-            single_relaxation_time(1.0, 0.05), t, 0.0, "one_minus_cos", keep_panel_log=True
-        )
-        widths = np.diff(np.array(res.panel_log))
-        assert widths.max() <= math.pi / (4.0 * t) * (1.0 + 1e-12)
+        initial_edges = quadrature._initial_edges
+        seen = []
 
-    def test_tail_bound_covers_cutoff_doubling(self, rng):
+        def recorded(*args):
+            seen.append(initial_edges(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(quadrature, "_initial_edges", recorded)
+        integrate_fluctuation(single_relaxation_time(1.0, 0.05), t, 0.0, "one_minus_cos")
+        assert seen
+        for edges in seen:
+            assert np.diff(edges).max() <= math.pi / (4.0 * t) * (1.0 + 1e-12)
+
+    def test_tail_bound_covers_cutoff_doubling(self, rng, monkeypatch):
+        choose_cutoff = quadrature._choose_cutoff
+
+        def doubled_cutoff(*args):
+            return 2.0 * choose_cutoff(*args)
+
         for _ in range(10):
             tau = 10.0 ** rng.uniform(-6, math.log10(0.2))
             t = 10.0 ** rng.uniform(-2, 2)
             theta = float(rng.choice([0.0, 10.0 ** rng.uniform(-1, 0.5)]))
             model = single_relaxation_time(1.0, tau)
             base = integrate_fluctuation(model, t, theta, "one_minus_cos")
-            doubled = integrate_fluctuation(
-                model, t, theta, "one_minus_cos", _w_multiplier=2.0
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(quadrature, "_choose_cutoff", doubled_cutoff)
+                doubled = integrate_fluctuation(model, t, theta, "one_minus_cos")
             shift = abs(base.value - doubled.value)
             allowance = (
                 base.tail_bound + doubled.tail_bound + base.est_error + doubled.est_error
@@ -208,25 +221,3 @@ class TestFluctuationIntegral:
         assert res.est_error >= 0.0
         assert res.tail_bound >= 0.0
         assert res.panels_used > 0
-
-
-class TestGenericIntegral:
-    def test_exponential(self):
-        res = integrate_generic(lambda y: np.exp(-y), 0.0)
-        assert not res.failed
-        assert res.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_lorentzian(self):
-        res = integrate_generic(lambda y: 1.0 / (1.0 + y * y), 0.0)
-        assert not res.failed
-        assert res.value == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-    def test_displacement_kernel_defining_integrand(self):
-        cfg = QuadratureConfig(rel_tol=1e-8, max_panels=8192)
-        res = integrate_generic(lambda y: (1.0 - np.cos(y)) / (y * (y * y + 1.0)), 0.0, cfg)
-        assert res.value == pytest.approx(V1, abs=1e-7)
-        assert abs(res.value - V1) <= res.est_error + 1e-9
-
-    def test_shifted_lower_limit(self):
-        res = integrate_generic(lambda y: np.exp(-y), 2.5)
-        assert res.value == pytest.approx(math.exp(-2.5), rel=1e-11)

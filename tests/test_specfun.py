@@ -20,11 +20,9 @@ from qbrownian.specfun import (
     coth_kernel,
     e1_scaled,
     ei_scaled_pos,
-    v_asymptotic,
     v_function,
-    v_series,
-    v_small,
 )
+from oracles import v_asymptotic, v_series, v_small
 
 mp.mp.dps = 30
 
@@ -68,6 +66,14 @@ class TestScaledExponentialIntegrals:
         e1s = float(-mp.exp(x) * mp.ei(-x))
         assert ei_scaled_pos(x) == pytest.approx(eis, rel=1e-13, abs=1e-16)
         assert e1_scaled(x) == pytest.approx(e1s, rel=1e-13)
+
+    def test_e1_near_top_of_float_range(self):
+        # above 2^1022, 1/(x + 1) is subnormal and the Lentz step cannot pass
+        # its test; the result is 1/x to within one subnormal step
+        x = np.concatenate((np.linspace(4.4e307, 1.7976931348623157e308, 200), [1.7e308]))
+        ref = [e1_scaled(xi) for xi in x.tolist()]
+        assert np.all(np.abs(np.array(ref) - 1.0 / x) <= 5e-324)
+        assert_exp_integrals_array_are_scalar(x)
 
     def test_e1_scaled_sandwich_bounds(self):
         for x in np.geomspace(1e-2, 1e4, 40):
@@ -242,7 +248,7 @@ class TestArrayKernelsBitwise:
     def test_unsorted_repeated_and_huge_arguments(self):
         x = np.array([40.0, 1e-5, 1e4, 0.5, 40.0, 2.0, 0.0, 1e-2, 1.7e308, 1e200])
         assert_v_array_is_scalar(x)
-        # e1_scaled's continued fraction does not converge at 1.7e308
+        # 1.7e308 is covered by test_e1_near_top_of_float_range
         assert_exp_integrals_array_are_scalar(x[(x > 0.0) & (x <= 1e200)])
 
     def test_empty(self):

@@ -1,18 +1,21 @@
 """SI ingestion, reduction round-trip, and the temperature diagnostic."""
 
+import json
+
 import pytest
 
+from qbrownian import cli
 from qbrownian.bath import UnderdampedBathError
 from qbrownian.units import (
     BOLTZMANN,
     HBAR,
     NarrowSeparationWarning,
     PhysicalParams,
-    params_from_json,
+    params_from_dict,
     reduce,
-    restore,
     thermal_ratio,
 )
+from oracles import restore
 
 BE9 = PhysicalParams(
     mass_kg=1.494e-26,
@@ -105,24 +108,27 @@ class TestJsonIngestion:
     )
 
     def test_round_trip(self):
-        params = params_from_json(self.GOOD)
+        params = params_from_dict(json.loads(self.GOOD))
         assert params.mass_kg == 1e-26
         assert params.d_m == 1e-3
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="tau_s"):
-            params_from_json('{"mass_kg": 1.0, "zeta": 1.0, "sigma_m": 1.0, "d_m": 5.0, "temperature_K": 0.0}')
+            params_from_dict({"mass_kg": 1.0, "zeta": 1.0, "sigma_m": 1.0, "d_m": 5.0, "temperature_K": 0.0})
 
     def test_unknown_field_named(self):
-        bad = self.GOOD[:-1] + ', "mass": 2.0}'
+        bad = dict(json.loads(self.GOOD), mass=2.0)
         with pytest.raises(ValueError, match="mass"):
-            params_from_json(bad)
+            params_from_dict(bad)
 
     def test_non_numeric_field_named(self):
-        bad = self.GOOD.replace("1e-26", '"heavy"')
+        bad = dict(json.loads(self.GOOD), mass_kg="heavy")
         with pytest.raises(ValueError, match="mass_kg"):
-            params_from_json(bad)
+            params_from_dict(bad)
 
-    def test_malformed_document(self):
+    def test_malformed_document(self, tmp_path):
+        # the CLI config is the one JSON document the package parses
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
         with pytest.raises(ValueError, match="malformed JSON"):
-            params_from_json("{not json")
+            cli.build_spec(cli._PARSER.parse_args(["--config", str(path)]))
