@@ -55,7 +55,6 @@ class RatePair:
 
     Omega: float
     gamma: float
-    near_degenerate: bool = False
 
 
 def _denominator_coeffs(model, m):
@@ -86,5 +85,4 @@ def rates(model, m=1.0):
         gamma_slow = zeta / (m * tau * omega_fast)
     else:
         gamma_slow = (1.0 - sq) / (2.0 * tau)
-    near = (omega_fast - gamma_slow) < 1e-6 * (omega_fast + gamma_slow)
-    return RatePair(omega_fast, gamma_slow, near)
+    return RatePair(omega_fast, gamma_slow)

@@ -64,21 +64,20 @@ _MAX_GENERATIONS = 60
 # below this multiple of the problem's lowest frequency scale the integrand
 # switches to its series form
 _OMEGA_EPS = 1e-6
+# panel budget of one adaptive pass, initial edges included
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel policy for the adaptive integrator."""
+    """Tolerances of the adaptive integrator."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
-    max_panels: int = 4096
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("rel_tol and abs_tol must be positive")
-        if self.max_panels < 16:
-            raise ValueError("max_panels must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def _gk15(fun, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive(fun, edges, cfg, target_of_value):
+def _adaptive(fun, edges, target_of_value):
     """Globally adaptive bisection over an initial edge set."""
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
@@ -110,7 +109,7 @@ def _adaptive(fun, edges, cfg, target_of_value):
         value = math.fsum(vals)
         err = float(errs.sum())
         target = target_of_value(value)
-        room = cfg.max_panels - lo.size
+        room = _MAX_PANELS - lo.size
         if err <= target or room <= 0:
             break
         k = int(min(max(8, lo.size // 3), room))
@@ -232,7 +231,7 @@ def _make_integrand(model, t, theta, kernel, m, omega_eps):
     return fun
 
 
-def _choose_cutoff(model, t, theta, kernel, budget, cfg, m):
+def _choose_cutoff(model, t, theta, kernel, budget, m):
     """Smallest cutoff whose analytic tail estimate fits in the budget."""
     gamma_low, omega_high = _rate_scales(model, m)
     scale = max(omega_high, 1.0 / t, theta, 1e-300)
@@ -246,7 +245,7 @@ def _choose_cutoff(model, t, theta, kernel, budget, cfg, m):
         x = grid / theta
         excess = np.where(x < 700.0, -2.0 * theta * np.log1p(-np.exp(-np.minimum(x, 700.0))), 0.0)
         rem = rem + 2.0 * f * excess
-    panel_cap = 0.75 * cfg.max_panels
+    panel_cap = 0.75 * _MAX_PANELS
     feasible = (rem <= 0.25 * budget) & (4.0 * grid * t / math.pi <= panel_cap)
     if feasible.any():
         return float(grid[np.argmax(feasible)])
@@ -257,11 +256,11 @@ def _choose_cutoff(model, t, theta, kernel, budget, cfg, m):
     return float(grid[0])
 
 
-def _initial_edges(model, t, w_cut, theta, cfg, m):
+def _initial_edges(model, t, w_cut, theta, m):
     gamma_low, omega_high = _rate_scales(model, m)
     parts = [np.array([0.0, w_cut])]
     n_osc = int(math.ceil(4.0 * w_cut * t / math.pi))
-    n_osc = min(n_osc, int(0.75 * cfg.max_panels))
+    n_osc = min(n_osc, int(0.75 * _MAX_PANELS))
     if n_osc > 1:
         parts.append(np.linspace(0.0, w_cut, n_osc + 1))
     lo_feature = min(gamma_low, 1.0 / t)
@@ -271,7 +270,7 @@ def _initial_edges(model, t, w_cut, theta, cfg, m):
     if log_lo < w_cut:
         decades = math.log10(w_cut / log_lo)
         n_log = max(int(8 * decades), 8)
-        n_log = min(n_log, cfg.max_panels // 8)
+        n_log = min(n_log, _MAX_PANELS // 8)
         parts.append(np.geomspace(log_lo, w_cut, n_log))
     features = [x for x in (gamma_low, omega_high, theta, 2.0 * theta) if 0.0 < x < w_cut]
     if features:
@@ -336,7 +335,7 @@ def integrate_fluctuation(
     for attempt in range(3):
         budget = cfg.rel_tol * budget_scale + cfg.abs_tol
         if w_base is None:
-            w_base = _choose_cutoff(model, t, theta, kernel, budget, cfg, m)
+            w_base = _choose_cutoff(model, t, theta, kernel, budget, m)
         w_cut = w_base * 4.0 ** attempt
 
         f, f1, f2 = _imalpha_derivs(model, w_cut, m)
@@ -356,13 +355,13 @@ def integrate_fluctuation(
             tail_value = f * c_w / t - f1 * s_w / t ** 2 - f2 * c_w / t ** 3
             tail_bound = _TAIL_SAFETY * abs(f2) / t ** 3
 
-        edges = _initial_edges(model, t, w_cut, theta, cfg, m)
+        edges = _initial_edges(model, t, w_cut, theta, m)
 
         def target(core_value):
             tot = abs(core_value + tail_value)
             return max(0.5 * (cfg.rel_tol * tot + cfg.abs_tol) - tail_bound, 0.1 * cfg.abs_tol)
 
-        core, est, panels = _adaptive(fun, edges, cfg, target)
+        core, est, panels = _adaptive(fun, edges, target)
         value = core + tail_value
         budget_scale = max(abs(value), budget_scale * 1e-3)
         if est + tail_bound <= cfg.rel_tol * abs(value) + cfg.abs_tol:

@@ -126,6 +126,22 @@ def _v_taylor(x):
     return total, trunc
 
 
+def _v_prime_taylor(x, ell):
+    """V'(x) below x = 1e-2, for a float or an array; ell = log x + gamma_E.
+
+    The termwise derivative of _v_taylor's development:
+    -sum_k x^(2k-1)/(2k-1)! (ell - H_(2k-1)), with H_(2k-1) = H_2k - 1/(2k).
+    """
+    total = 0.0
+    p = x
+    fact = 1.0
+    for k, h in enumerate(_H_EVEN, start=1):
+        total = total - p / fact * (ell - (h - 0.5 / k))
+        p = p * (x * x)
+        fact *= (2 * k) * (2 * k + 1)
+    return total
+
+
 def v_function(x):
     """V(x) = integral_0^inf dy x^2 (1 - cos y) / (y (y^2 + x^2)).
 

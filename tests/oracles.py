@@ -2,7 +2,7 @@
 
 None of these is on a production path: each is a second route to a value
 the library computes another way (a series in exact rational arithmetic,
-an expansion, a definition or an inverse).
+an expansion, a definition, an inverse or mpmath at 50 digits).
 """
 
 from __future__ import annotations
@@ -10,11 +10,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
+
 from qbrownian.bath import OHMIC
 from qbrownian.specfun import EULER_GAMMA, _check_positive
 from qbrownian.units import BOLTZMANN, HBAR, PhysicalParams
 
 _MAX_SERIES_TERMS = 400
+_DPS = 50
+# digits carried beyond _DPS through the two-rate combination, which loses
+# about log10(|log u| / r) of them as r = (Omega - gamma)/(Omega + gamma) -> 0
+_GUARD_DPS = 40
 
 
 def v_small(x):
@@ -101,3 +107,58 @@ def restore(r):
         d_m=r.d_hat * sigma,
         temperature_K=r.theta * HBAR / (BOLTZMANN * r.scale_time),
     )
+
+
+def _v_mp(x):
+    """V at the working precision: Taylor series below 1, the Ei/E1 identity above."""
+    if not x:
+        return mpmath.mpf(0)
+    ell = mpmath.log(x) + mpmath.euler
+    if x >= 1:
+        return ell - (mpmath.exp(-x) * mpmath.ei(x) - mpmath.exp(x) * mpmath.e1(x)) / 2
+    # V = -sum_k x^(2k)/(2k)! (ell - H_2k)
+    total = mpmath.mpf(0)
+    power = mpmath.mpf(1)
+    harmonic = mpmath.mpf(0)
+    for n in range(2, 2 * _MAX_SERIES_TERMS, 2):
+        power *= x * x / ((n - 1) * n)
+        harmonic += mpmath.mpf(1) / (n - 1) + mpmath.mpf(1) / n
+        term = power * (ell - harmonic)
+        total -= term
+        if abs(term) <= mpmath.eps * abs(total):
+            return total
+    raise RuntimeError(f"Taylor series of V did not converge at x={x}")
+
+
+def v_mp(x):
+    """V(x) to 50 digits, rounded to a float."""
+    with mpmath.workdps(_DPS):
+        return float(_v_mp(mpmath.mpf(x)))
+
+
+def _closed_form(model, t, m, f):
+    """f(zeta t/m) for the Ohmic bath; for the memory bath the two-rate
+    combination (Omega^2 f(gamma t) - gamma^2 f(Omega t)) / (Omega^2 - gamma^2)
+    with the exact rates of the model's float parameters."""
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        zeta, tau, m, t = (mpmath.mpf(v) for v in (model.zeta, model.tau, m, t))
+        if model.kind == OHMIC:
+            return f(zeta * t / m)
+        root = mpmath.sqrt(1 - 4 * zeta * tau / m)
+        omega, gamma = (1 + root) / (2 * tau), (1 - root) / (2 * tau)
+        o2, g2 = omega * omega, gamma * gamma
+        return (o2 * f(gamma * t) - g2 * f(omega * t)) / (o2 - g2)
+
+
+def msd_zero_T_mp(model, t, m=1.0, hbar=1.0):
+    """Zero-temperature s(t) = (2 hbar/(pi zeta)) V-combination, to 50 digits."""
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        bracket = _closed_form(model, t, m, _v_mp)
+        return float(2 * mpmath.mpf(hbar) / (mpmath.pi * mpmath.mpf(model.zeta)) * bracket)
+
+
+def commutator_mp(model, t, m=1.0, hbar=1.0):
+    """C(t) = (hbar/zeta) (1 - e^-u)-combination, to 50 digits."""
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        bracket = _closed_form(model, t, m, lambda u: -mpmath.expm1(-u))
+        return float(mpmath.mpf(hbar) / mpmath.mpf(model.zeta) * bracket)

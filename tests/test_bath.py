@@ -112,7 +112,6 @@ class TestRates:
         rp = rates(single_relaxation_time(1.0, 0.1))
         assert rp.Omega == pytest.approx(8.872983346207417, rel=1e-14)
         assert rp.gamma == pytest.approx(1.1270166537925831, rel=1e-14)
-        assert not rp.near_degenerate
 
     def test_sum_and_product_identities(self, rng):
         for _ in range(200):
@@ -148,9 +147,13 @@ class TestRates:
         with pytest.raises(UnderdampedBathError):
             rates(single_relaxation_time(1.0, 0.3))
 
-    def test_near_degenerate_flagged(self):
-        rp = rates(single_relaxation_time(1.0, 0.25 * (1.0 - 1e-14)))
-        assert rp.near_degenerate
+    def test_near_degenerate_pair_resolves_the_gap(self):
+        # (Omega - gamma)/(Omega + gamma) = sqrt(1 - 4 zeta tau / m), about 1e-7;
+        # 1 - 4 tau is exact in floats
+        tau = 0.25 * (1.0 - 1e-14)
+        rp = rates(single_relaxation_time(1.0, tau))
+        ratio = (rp.Omega - rp.gamma) / (rp.Omega + rp.gamma)
+        assert ratio == pytest.approx(math.sqrt(1.0 - 4.0 * tau), rel=1e-8)
 
     def test_ohmic_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 # trapped-ion example with scale_time = 1/6000 s
 LAB_WARM = dict(LAB, temperature_K=1e-12)
 LAB_NEAR = dict(LAB, tau_s=0.25 * (1.0 - 1e-8))
-# 1 - 4 zeta tau / m = 1e-14 in SI units of 1: inside the degeneracy expansion
+# 1 - 4 zeta tau / m = 1e-14 in SI units of 1: the divided-difference form
 DEG = {"mass_kg": 1, "zeta": 1, "tau_s": 0.2499999999999975, "sigma_m": 1, "d_m": 20, "temperature_K": 0}
 CASES = {
     "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
@@ -77,14 +77,15 @@ CASES = {
         dict(BE9, temperature_K=1e-3),
         ["--command", "width", "--grid", "1e-3,0.16666666666666669,3,log"],
     ),
-    # 1 - 4 zeta tau / m = 1e-8: the direct two-rate form next to the rate degeneracy
+    # 1 - 4 zeta tau / m = 1e-8, (Omega - gamma)/(Omega + gamma) = 1e-4: the
+    # divided-difference form next to the rate degeneracy
     "msd_near_degenerate_csv": (LAB_NEAR, ["--command", "msd", "--grid", "1e-9,1e4,14,log"]),
     "commutator_near_degenerate_csv": (LAB_NEAR, ["--command", "commutator", "--grid", "1e-9,1e4,14,log"]),
     "width_near_degenerate_json": (
         LAB_NEAR,
         ["--command", "width", "--grid", "1e-9,1e4,8,log", "--output", "json"],
     ),
-    # 1 - 4 zeta tau / m = 1e-14: inside the degeneracy expansion
+    # 1 - 4 zeta tau / m = 1e-14: rates equal to within 1e-7
     "width_degenerate_csv": (dict(LAB, tau_s=0.25 * (1.0 - 1e-14)), ["--command", "width", "--grid", "0,1e3,9,lin"]),
     "attenuation_ohmic_csv": (dict(LAB, tau_s=0.0), ["--command", "attenuation", "--grid", "0,2e-2,9,lin"]),
     # x = 0, then the ei_identity and asymptotic routes; a log grid through all three
@@ -99,9 +100,9 @@ CASES = {
     ),
     # gamma t overflows to inf at the last time: V rejects it
     "msd_overflow_csv": (LAB, ["--command", "msd", "--grid", "0,1e308,3,lin"]),
-    # subnormal times, where 1/u overflows inside the degeneracy expansion
+    # subnormal times: subnormal arguments and nodes
     "msd_degenerate_subnormal_csv": (DEG, ["--command", "msd", "--grid", "0,1e-310,3,lin"]),
-    # u = 1.7e308: e^u E1(u) past 2^1022 and u**3 past the float range
+    # u = 1.7e308: e^u E1(u) past 2^1022, next to the top of the float range
     "msd_degenerate_huge_csv": (DEG, ["--command", "msd", "--grid", "0,8.5e307,2,lin"]),
 }
 

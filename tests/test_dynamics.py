@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from qbrownian import quadrature
 from qbrownian.bath import ohmic, rates, single_relaxation_time
 from qbrownian.dynamics import (
+    _NEAR_RATES,
     QuadratureFailure,
     _moments,
     _moments_grid,
+    _near,
     commutator_magnitude,
     mean_square_velocity,
     msd_finite_T,
@@ -20,7 +23,7 @@ from qbrownian.dynamics import (
 )
 from qbrownian.quadrature import QuadratureConfig, integrate_fluctuation
 from qbrownian.specfun import EULER_GAMMA, v_function
-from oracles import mean_square_velocity_approx
+from oracles import commutator_mp, mean_square_velocity_approx, msd_zero_T_mp
 
 SRT01 = single_relaxation_time(1.0, 0.1)
 
@@ -49,38 +52,20 @@ class TestMsdZeroT:
 
     def test_near_degenerate_series_matches_quadrature(self):
         model = single_relaxation_time(1.0, 0.25 * (1.0 - 1e-14))
-        assert rates(model).near_degenerate
+        assert _near(rates(model))
         for t in (0.2, 1.0, 5.0):
             quad = 2.0 / math.pi * integrate_fluctuation(model, t, 0.0, "one_minus_cos").value
             assert msd_zero_T(model, t) == pytest.approx(quad, rel=1e-8)
 
     def test_continuity_across_degeneracy_switch(self):
-        flagged = msd_zero_T(single_relaxation_time(1.0, 0.25 * (1.0 - 1e-14)), 1.0)
-        direct = msd_zero_T(single_relaxation_time(1.0, 0.25 * (1.0 - 1e-11)), 1.0)
-        assert flagged == pytest.approx(direct, rel=1e-6)
-
-    def test_degenerate_series_coefficients(self):
-        # at eps = 1e-3 the direct two-rate formula is still good to ~1e-13
-        # while the series truncation is O(eps^4): sharp coefficient check
-        from qbrownian.dynamics import (
-            _degenerate_commutator_bracket,
-            _degenerate_msd_bracket,
-        )
-        from qbrownian.specfun import v_function
-
-        eps, r = 1e-3, 1.7
-        omega_fast, gamma_slow = r * (1.0 + eps), r * (1.0 - eps)
-        o2, g2 = omega_fast ** 2, gamma_slow ** 2
-        for t in (0.3, 1.0, 5.0):
-            direct_s = (
-                o2 * v_function(gamma_slow * t).value - g2 * v_function(omega_fast * t).value
-            ) / (o2 - g2)
-            assert _degenerate_msd_bracket(r * t, eps) == pytest.approx(direct_s, rel=5e-10)
-            direct_c = (
-                -o2 * math.expm1(-gamma_slow * t) + g2 * math.expm1(-omega_fast * t)
-            ) / (o2 - g2)
-            assert _degenerate_commutator_bracket(r * t, eps) == pytest.approx(
-                direct_c, rel=5e-10
+        # (Omega - gamma)/(Omega + gamma) = sqrt(gap) just below and just above
+        # the switch: the divided-difference and the direct form agree
+        below, above = (near_degenerate((_NEAR_RATES * f) ** 2) for f in (1.0 - 1e-9, 1.0 + 1e-9))
+        assert (_near(rates(below)), _near(rates(above))) == (True, False)
+        for t in np.geomspace(1e-6, 1e4, 21).tolist():
+            assert msd_zero_T(below, t) == pytest.approx(msd_zero_T(above, t), rel=2e-10)
+            assert commutator_magnitude(below, t) == pytest.approx(
+                commutator_magnitude(above, t), rel=1e-13
             )
 
     def test_negative_time_rejected(self):
@@ -167,8 +152,9 @@ class TestPacketVariance:
         w2_hot = packet_variance(SRT01, 1.0, 1.0, theta=2.0)
         assert w2_hot > w2_cold
 
-    def test_quadrature_failure_propagates(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_panels=16)
+    def test_quadrature_failure_propagates(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
         with pytest.raises(QuadratureFailure):
             packet_variance(SRT01, 3.0, 1.0, theta=1.0, cfg=cfg)
 
@@ -246,18 +232,17 @@ class TestMomentsGrid:
     """The array _moments_grid gives the scalar _moments' bits, compared with ==."""
 
     def test_baths_cover_every_closed_form(self):
-        flags = [rates(GRID_BATHS[k]).near_degenerate for k in ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")]
-        assert flags == [False, False, True, True]
+        flags = [_near(rates(GRID_BATHS[k])) for k in ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")]
+        assert flags == [False, True, True, True]
 
     @pytest.mark.parametrize("name", list(GRID_BATHS))
     def test_zero_temperature_matches_scalar(self, name):
         model = GRID_BATHS[name]
         ts = np.concatenate(([0.0, 5e-324], np.geomspace(1e-14, 1e6, 400), [1.0, 0.0]))
         sigma, m, hbar = 0.7, 1.0, 0.9
-        # a subnormal time puts 1/u past the float range inside the
-        # degeneracy expansion; bytes compare the sign of zero too
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, c, w2, routes = _moments_grid(model, ts, sigma, 0.0, None, m, hbar)
+        # a subnormal time gives subnormal arguments and nodes; bytes compare
+        # the sign of zero too
+        s, c, w2, routes = _moments_grid(model, ts, sigma, 0.0, None, m, hbar)
         ref = [_moments(model, t, sigma, 0.0, None, m, hbar) for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
@@ -265,12 +250,11 @@ class TestMomentsGrid:
 
     @pytest.mark.parametrize("ts", [[5e-324, 1e-310, 5e-309, 2e-308], [3e102, 1e200, 8.5e307]])
     def test_degeneracy_expansion_at_extreme_times(self, ts):
-        # subnormal u, where 1/u overflows, and u past the cube root of the
-        # float range, where the O(eps^2) terms take their large-u limits
+        # subnormal times, and times past the cube root of the float range,
+        # where powers of u overflow: the divided-difference form raises none
         model = GRID_BATHS["gap_1e-14"]
         ts = np.array(ts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, c, w2, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s, c, w2, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
         ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0) for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
@@ -281,6 +265,33 @@ class TestMomentsGrid:
             limit = 2.0 / math.pi * (np.log(u) + EULER_GAMMA - 0.5)
             assert np.allclose(s, limit, rtol=1e-13, atol=0.0)
             assert np.all(c == 1.0)
+
+    @pytest.mark.parametrize("gap", [1e-14, 1.01e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
+    def test_near_degenerate_grid_matches_oracle(self, gap):
+        # 4 points a decade; the worst s sits near V's 1e-2 switch (about 1e-11)
+        model = near_degenerate(gap)
+        assert _near(rates(model))
+        ts = np.geomspace(1e-12, 1e5, 69)
+        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
+        c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
+        assert np.abs(s / s_ref - 1.0).max() <= 1e-10
+        assert np.abs(c / c_ref - 1.0).max() <= 1e-13
+        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0) for t in ts.tolist()]
+        assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
+        assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
+
+    def test_near_degenerate_at_huge_times(self):
+        # the degeneracy expansion this form replaced multiplied a one-ulp
+        # error of V' by u^3 from u = 1e13 on (s = 4.2e173 at t = 1e102)
+        model = GRID_BATHS["gap_1e-14"]
+        ts = np.geomspace(1.0, 1e300, 301)
+        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        assert np.all(s > 0.0)
+        s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
+        assert np.abs(s / s_ref - 1.0).max() <= 1e-12
+        c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
+        assert np.abs(c / c_ref - 1.0).max() <= 1e-13
 
     def test_finite_temperature_matches_scalar(self):
         ts = np.array([0.0, 0.05, 2.0])

@@ -1,12 +1,16 @@
-"""The names qbrownian exports.
+"""The names qbrownian exports, and the ones the benchmark's tracer wraps.
 
 A helper that only tests call lives in tests/oracles.py; this list keeps
 one from returning to the package unnoticed.
 """
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 import qbrownian
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 PUBLIC = {
     # bath
@@ -34,3 +38,23 @@ def test_exported_names():
     }
     assert exported == PUBLIC
     assert len(PUBLIC) == 40
+
+
+# cli has held no v_function since T = 0 grids became arrays; the tracer
+# skips a binding that is missing, so that entry counts nothing
+UNTRACED = {("qbrownian.cli", "v_function")}
+
+
+def test_traced_names_resolve():
+    # bench/run.py --trace 1 wraps every (module, attribute) below and dies
+    # with AttributeError on a home attribute that is gone
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TRACED
+    for home, attr, others, _ in layers.TRACED.values():
+        original = getattr(home, attr)
+        assert callable(original)
+        for module in others:
+            if (module.__name__, attr) not in UNTRACED:
+                assert getattr(module, attr) is original

@@ -21,11 +21,11 @@ class TestConfig:
         cfg = QuadratureConfig()
         assert cfg.rel_tol == 1e-9
         assert cfg.abs_tol == 1e-14
-        assert cfg.max_panels == 4096
+        assert quadrature._MAX_PANELS == 4096
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.0}, {"abs_tol": -1.0}, {"max_panels": 8}],
+        [{"rel_tol": 0.0}, {"abs_tol": -1.0}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -209,8 +209,9 @@ class TestFluctuationIntegral:
             )
             assert shift <= allowance + 1e-13 * abs(base.value)
 
-    def test_nonconvergence_reports_partial_value_and_flag(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_panels=16)
+    def test_nonconvergence_reports_partial_value_and_flag(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
         res = integrate_fluctuation(ohmic(1.0), 3.0, 0.0, "one_minus_cos", cfg=cfg)
         assert res.failed
         assert math.isfinite(res.value)
