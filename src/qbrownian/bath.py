@@ -10,43 +10,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-OHMIC = "ohmic"
-SINGLE_RELAXATION_TIME = "single_relaxation_time"
-
-
 class UnderdampedBathError(ValueError):
     """4*zeta*tau/m >= 1: the rate pair turns complex, which is out of scope."""
 
 
 @dataclass(frozen=True)
 class BathModel:
-    """Dissipation specification: Ohmic (tau = 0) or exponential memory."""
+    """Dissipation specification: Ohmic if tau = 0, else exponential memory
+    with relaxation time tau."""
 
-    kind: str
     zeta: float
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (OHMIC, SINGLE_RELAXATION_TIME):
-            raise ValueError(f"unknown bath kind {self.kind!r}")
         if not (self.zeta > 0.0) or not math.isfinite(self.zeta):
             raise ValueError(f"zeta must be positive and finite, got {self.zeta!r}")
         if self.tau < 0.0 or not math.isfinite(self.tau):
             raise ValueError(f"tau must be non-negative and finite, got {self.tau!r}")
-        if (self.tau == 0.0) != (self.kind == OHMIC):
-            raise ValueError("tau = 0 selects the Ohmic model and vice versa")
 
 
 def ohmic(zeta):
     """Memoryless friction with constant transform zeta."""
-    return BathModel(OHMIC, float(zeta), 0.0)
+    return BathModel(float(zeta))
 
 
 def single_relaxation_time(zeta, tau):
     """Exponential memory kernel with bath relaxation time tau > 0."""
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive for this model, got {tau!r}")
-    return BathModel(SINGLE_RELAXATION_TIME, float(zeta), float(tau))
+    return BathModel(float(zeta), float(tau))
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ def rates(model, m=1.0):
     Omega) when 4 zeta tau / m < 1e-3, where the textbook subtractive form
     loses precision.
     """
-    if model.kind == OHMIC:
+    if model.tau == 0.0:
         raise ValueError("rates are defined only for the single-relaxation-time model")
     zeta, tau = model.zeta, model.tau
     ratio = 4.0 * zeta * tau / m

@@ -120,10 +120,7 @@ def _emit(spec, out, names, blocks):
 
 def _reduced_setup(raw):
     red = _units.reduce(_units.params_from_dict(raw, allow_extra=_CONFIG_EXTRAS))
-    if red.tau_hat == 0.0:
-        model = _bath.ohmic(1.0)
-    else:
-        model = _bath.single_relaxation_time(1.0, red.tau_hat)
+    model = _bath.BathModel(1.0, red.tau_hat)
     with warnings.catch_warnings():
         # reduce has already warned about a narrow separation
         warnings.simplefilter("ignore", _units.NarrowSeparationWarning)
@@ -289,7 +286,7 @@ def main(argv=None):
     try:
         spec = build_spec(args)
         return run(spec, sys.stdout)
-    except (ValueError, _bath.UnderdampedBathError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (_dyn.QuadratureFailure, _dec.BracketScanError) as exc:

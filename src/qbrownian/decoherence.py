@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bath as _bath
 from . import dynamics as _dyn
 from .specfun import EULER_GAMMA
 from .units import NarrowSeparationWarning
 
 
 class BracketScanError(RuntimeError):
-    """The attenuation never reached 1/e inside the scan window."""
+    """The attenuation never reached 1/e inside the scan window, or not below tau0."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def tau0(state, model, hbar=1.0):
 
 
 def _require_srt(model):
-    if model.kind != _bath.SINGLE_RELAXATION_TIME:
+    if model.tau == 0.0:
         raise ValueError("this operation requires the single-relaxation-time model")
 
 
@@ -177,9 +176,10 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
     always lies below tau0, and the bracket is widened from it by factors
     of 2: downward no further than the first probe, upward up to the scan
     cap of 1e6 reduced time units (BracketScanError beyond). Brent's method
-    then refines the bracket until hi - lo <= 1e-10 hi. The report carries
-    the scan bracket, the estimate and n_evals, the number of attenuation
-    evaluations spent.
+    then refines the bracket until hi - lo <= 1e-10 hi. A crossing at or
+    above tau0 is refused with BracketScanError too, as one beyond the scan
+    cap is. The report carries the scan bracket, the estimate and n_evals,
+    the number of attenuation evaluations spent.
     """
     _require_srt(model)
     t0 = tau0(state, model, hbar=hbar)
@@ -220,9 +220,7 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
             g_hi = gap(hi)
     tau_d = _brent_root(gap, lo, hi, g_lo, g_hi, 1e-10)
     if not tau_d < t0:
-        raise RuntimeError(
-            f"decoherence time {tau_d!r} did not fall below tau0 {t0!r}"
-        )
+        raise BracketScanError(f"decoherence time {tau_d!r} did not fall below tau0 {t0!r}")
     return DecoherenceReport(t0, tau_d, eq26, "root_find_exact", (lo, hi), n_evals)
 
 

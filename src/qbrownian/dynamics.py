@@ -16,6 +16,7 @@ import numpy as np
 from . import bath as _bath
 from .quadrature import integrate_fluctuation, scaled
 from .specfun import (
+    _V_TAYLOR_MAX,
     EULER_GAMMA,
     _exp_integrals_array,
     _libm,
@@ -66,8 +67,8 @@ class _ScalarOps:
 
     @staticmethod
     def v_prime(x):
-        """V'(x) = (e^-x Ei(x) + e^x E1(x)) / 2; the Taylor derivative below 1e-2."""
-        if x >= 1e-2:
+        """V'(x) = (e^-x Ei(x) + e^x E1(x)) / 2; the Taylor derivative below _V_TAYLOR_MAX."""
+        if x >= _V_TAYLOR_MAX:
             return 0.5 * (ei_scaled_pos(x) + e1_scaled(x))
         return 0.0 if x == 0.0 else _v_prime_taylor(x, math.log(x) + EULER_GAMMA)
 
@@ -99,7 +100,7 @@ class _ArrayOps:
     @staticmethod
     def v_prime(x):
         out = np.zeros_like(x)
-        high = x >= 1e-2
+        high = x >= _V_TAYLOR_MAX
         es, e1s = _exp_integrals_array(x[high])
         out[high] = 0.5 * (es + e1s)
         low = (x > 0.0) & ~high
@@ -128,7 +129,7 @@ _ARRAY = _ArrayOps()
 
 def _rates(model, m):
     """Rate pair of the memory bath; None for the Ohmic bath."""
-    return None if model.kind == _bath.OHMIC else _bath.rates(model, m)
+    return None if model.tau == 0.0 else _bath.rates(model, m)
 
 
 def _near(rp):
@@ -157,6 +158,9 @@ def _closed(pref, f, df, model, rp, t, m, ops):
     o2 = rp.Omega * rp.Omega
     g2 = rp.gamma * rp.gamma
     f_slow, f_fast = ops.batch(f, rp.gamma * t, rp.Omega * t)
+    if o2 == math.inf:  # the same bracket divided through by Omega^2
+        rho = rp.gamma / rp.Omega
+        return pref * (f_slow - rho * rho * f_fast) / (1.0 - rho * rho)
     return pref * (o2 * f_slow - g2 * f_fast) / (o2 - g2)
 
 
@@ -275,7 +279,7 @@ def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):
     """Zero-temperature mean-square velocity of the memory bath."""
-    if model.kind == _bath.OHMIC:
+    if model.tau == 0.0:
         raise ValueError(
             "mean square velocity is logarithmically divergent for the Ohmic "
             "model; a bath with finite relaxation time (cutoff) is required"

@@ -135,7 +135,7 @@ def _adaptive(fun, edges, target_of_value):
 
 
 def _rate_scales(model, m):
-    if model.kind == _bath.OHMIC:
+    if model.tau == 0.0:
         r = model.zeta / m
         return r, r
     rp = _bath.rates(model, m)
@@ -161,7 +161,7 @@ def _imalpha_derivs(model, w, m):
 
 def _flat_tail(model, w_cut, m):
     """Closed form of the spectral weight integrated over [W, inf)."""
-    if model.kind == _bath.OHMIC:
+    if model.tau == 0.0:
         r = model.zeta / m
         return 0.5 / model.zeta * math.log1p((r / w_cut) ** 2)
     rp = _bath.rates(model, m)
@@ -330,13 +330,9 @@ def integrate_fluctuation(
     fun = _make_integrand(model, t, theta, kernel, m, omega_eps)
 
     budget_scale = _rough_magnitude(model, t, theta, kernel, m)
-    value = est = tail_bound = 0.0
-    w_base = None
     for attempt in range(3):
         budget = cfg.rel_tol * budget_scale + cfg.abs_tol
-        if w_base is None:
-            w_base = _choose_cutoff(model, t, theta, kernel, budget, m)
-        w_cut = w_base * 4.0 ** attempt
+        w_cut = _choose_cutoff(model, t, theta, kernel, budget, m) * 4.0 ** attempt
 
         f, f1, f2 = _imalpha_derivs(model, w_cut, m)
         s_w = math.sin(w_cut * t)
@@ -363,12 +359,11 @@ def integrate_fluctuation(
 
         core, est, panels = _adaptive(fun, edges, target)
         value = core + tail_value
-        budget_scale = max(abs(value), budget_scale * 1e-3)
-        if est + tail_bound <= cfg.rel_tol * abs(value) + cfg.abs_tol:
+        failed = not (est + tail_bound <= cfg.rel_tol * abs(value) + cfg.abs_tol)  # nan fails
+        if not failed:
             break
-        w_base = None  # re-derive the cutoff from the refined magnitude
-
-    failed = est + tail_bound > cfg.rel_tol * abs(value) + cfg.abs_tol
+        # the next attempt re-derives the cutoff from the refined magnitude
+        budget_scale = max(abs(value), budget_scale * 1e-3)
     return QuadratureResult(value, est, panels, tail_bound, failed)
 
 

@@ -22,6 +22,12 @@ _MAX_SERIES_TERMS = 400
 # development of the defining integral of V about x = 0.
 _H_EVEN = (3.0 / 2.0, 25.0 / 12.0, 49.0 / 20.0, 761.0 / 280.0, 7381.0 / 2520.0)
 
+# route switch points
+_V_TAYLOR_MAX = 1e-2  # V: Taylor development below, exponential-integral identity above
+_V_ASYMPTOTIC_MIN = 1e3  # V: inverse-power asymptotics from here on
+_E1_SERIES_MAX = 1.0  # e^x E1: power series up to here, continued fraction above
+_EI_SERIES_MAX = 40.0  # e^-x Ei: power series up to here, asymptotic sum above
+
 
 @dataclass(frozen=True)
 class VEval:
@@ -53,10 +59,10 @@ def _s1(y):
 def e1_scaled(x):
     """e^x * E1(x) for x > 0: no underflow at large x.
 
-    Power series below 1, modified-Lentz continued fraction above.
+    Power series up to _E1_SERIES_MAX, modified-Lentz continued fraction above.
     """
     _check_positive(x)
-    if x <= 1.0:
+    if x <= _E1_SERIES_MAX:
         e1 = -EULER_GAMMA - math.log(x) - _s1(-x)
         return math.exp(x) * e1
     # continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...))))
@@ -91,12 +97,12 @@ def e1_scaled(x):
 def ei_scaled_pos(x):
     """e^(-x) * Ei(x) for x > 0 (principal value), overflow-free.
 
-    Power series for x <= 40; beyond that the divergent asymptotic series
-    summed to its smallest term, whose truncation error is below double
-    precision there.
+    Power series up to _EI_SERIES_MAX; beyond that the divergent asymptotic
+    series summed to its smallest term, whose truncation error is below
+    double precision there.
     """
     _check_positive(x)
-    if x <= 40.0:
+    if x <= _EI_SERIES_MAX:
         ei = EULER_GAMMA + math.log(x) + _s1(x)
         return math.exp(-x) * ei
     total = 1.0
@@ -112,22 +118,26 @@ def ei_scaled_pos(x):
     return total / x
 
 
-def _v_taylor(x):
-    """Taylor development of the defining integral about x = 0."""
-    ell = math.log(x) + EULER_GAMMA
+# V's routes, each for a float or an array: arithmetic and abs only, with
+# ell = log x + gamma_E and the other transcendentals from the caller (math
+# for a float, _libm for an array), so both give the same bits
+
+
+def _v_taylor(x, ell, x12):
+    """Taylor development of the defining integral about x = 0 and its
+    truncation bound; x12 = x ** 12."""
     total = 0.0
     p = 1.0
     fact = 1.0
     for k, h in enumerate(_H_EVEN, start=1):
-        p *= x * x
+        p = p * (x * x)
         fact *= (2 * k - 1) * (2 * k)
-        total -= p / fact * (ell - h)
-    trunc = (x ** 12) / 479001600.0 * (abs(ell) + 3.2)
-    return total, trunc
+        total = total - p / fact * (ell - h)
+    return total, x12 / 479001600.0 * (abs(ell) + 3.2)
 
 
 def _v_prime_taylor(x, ell):
-    """V'(x) below x = 1e-2, for a float or an array; ell = log x + gamma_E.
+    """V'(x) below _V_TAYLOR_MAX, for a float or an array; ell = log x + gamma_E.
 
     The termwise derivative of _v_taylor's development:
     -sum_k x^(2k-1)/(2k-1)! (ell - H_(2k-1)), with H_(2k-1) = H_2k - 1/(2k).
@@ -142,12 +152,30 @@ def _v_prime_taylor(x, ell):
     return total
 
 
+def _v_identity(ell, es, e1s):
+    """V = ell - (e^-x Ei(x) - e^x E1(x)) / 2 and its rounding-error estimate."""
+    value = ell - 0.5 * (es - e1s)
+    return value, 2.0 * _EPS * (abs(ell) + abs(es) + abs(e1s)) + 4.0 * _EPS * abs(value)
+
+
+def _v_asymptotic(x, ell):
+    """V = ell - 1/x^2 - 3!/x^4 - 5!/x^6 - 7!/x^8 and its truncation bound."""
+    x2 = x * x
+    value = ell
+    p = 1.0
+    for fac in (1.0, 6.0, 120.0, 5040.0):
+        p = p * x2
+        value = value - fac / p
+    return value, 362880.0 / (p * x2) + 4.0 * _EPS * abs(value)
+
+
 def v_function(x):
     """V(x) = integral_0^inf dy x^2 (1 - cos y) / (y (y^2 + x^2)).
 
-    Production evaluation: Taylor development below x = 1e-2, the scaled
-    exponential-integral identity up to 1e3, inverse-power asymptotics
-    beyond. Targets 1e-12 relative accuracy (absolute where |V| < 1).
+    Production evaluation: Taylor development below _V_TAYLOR_MAX, the
+    scaled exponential-integral identity below _V_ASYMPTOTIC_MIN,
+    inverse-power asymptotics beyond. Targets 1e-12 relative accuracy
+    (absolute where |V| < 1).
     """
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValueError(f"x must be a real number, got {x!r}")
@@ -156,24 +184,14 @@ def v_function(x):
         raise ValueError(f"x must be finite and non-negative, got {x!r}")
     if x == 0.0:
         return VEval(0.0, "series", 0.0)
-    if x < 1e-2:
-        value, trunc = _v_taylor(x)
-        est = trunc + 4.0 * _EPS * max(abs(value), 1e-300)
-        return VEval(value, "series", est)
-    if x < 1e3:
-        ell = math.log(x) + EULER_GAMMA
-        es = ei_scaled_pos(x)
-        e1s = e1_scaled(x)
-        value = ell - 0.5 * (es - e1s)
-        est = 2.0 * _EPS * (abs(ell) + abs(es) + abs(e1s)) + 4.0 * _EPS * abs(value)
+    ell = math.log(x) + EULER_GAMMA
+    if x < _V_TAYLOR_MAX:
+        value, trunc = _v_taylor(x, ell, x ** 12)
+        return VEval(value, "series", trunc + 4.0 * _EPS * max(abs(value), 1e-300))
+    if x < _V_ASYMPTOTIC_MIN:
+        value, est = _v_identity(ell, ei_scaled_pos(x), e1_scaled(x))
         return VEval(value, "ei_identity", est)
-    value = math.log(x) + EULER_GAMMA
-    x2 = x * x
-    p = 1.0
-    for fac in (1.0, 6.0, 120.0, 5040.0):
-        p *= x2
-        value -= fac / p
-    est = 362880.0 / (p * x2) + 4.0 * _EPS * abs(value)
+    value, est = _v_asymptotic(x, ell)
     return VEval(value, "asymptotic", est)
 
 
@@ -273,11 +291,11 @@ def _ei_asymptotic_array(x):
 def _exp_integrals_array(x):
     """ei_scaled_pos and e1_scaled over an array of positive arguments.
 
-    One series pass serves both: the Ei series at x <= 40 and the E1
-    series at x <= 1, which share log x.
+    One series pass serves both: the Ei series up to _EI_SERIES_MAX and the
+    E1 series up to _E1_SERIES_MAX, which share log x.
     """
-    ei_low = x <= 40.0
-    e1_low = x <= 1.0
+    ei_low = x <= _EI_SERIES_MAX
+    e1_low = x <= _E1_SERIES_MAX
     x_ei, x_e1 = x[ei_low], x[e1_low]
     log_ei = _libm(math.log, x_ei)
     series = _s1_array(np.concatenate((x_ei, -x_e1)))
@@ -308,40 +326,21 @@ def _v_array(x):
     est = np.zeros_like(x)
     route = np.zeros(x.shape, dtype=np.intp)
 
-    series = (x > 0.0) & (x < 1e-2)
+    series = (x > 0.0) & (x < _V_TAYLOR_MAX)
     xs = x[series]
-    ell = _libm(math.log, xs) + EULER_GAMMA
-    total = np.zeros_like(xs)
-    p = np.ones_like(xs)
-    fact = 1.0
-    for k, h in enumerate(_H_EVEN, start=1):
-        p = p * (xs * xs)
-        fact *= (2 * k - 1) * (2 * k)
-        total = total - p / fact * (ell - h)
-    trunc = _libm(lambda v: v ** 12, xs) / 479001600.0 * (np.abs(ell) + 3.2)
+    total, trunc = _v_taylor(xs, _libm(math.log, xs) + EULER_GAMMA, _libm(lambda v: v ** 12, xs))
     value[series] = total
     est[series] = trunc + 4.0 * _EPS * np.maximum(np.abs(total), 1e-300)
 
-    ident = (x >= 1e-2) & (x < 1e3)
+    ident = (x >= _V_TAYLOR_MAX) & (x < _V_ASYMPTOTIC_MIN)
     xi = x[ident]
-    ell = _libm(math.log, xi) + EULER_GAMMA
-    es, e1s = _exp_integrals_array(xi)
-    total = ell - 0.5 * (es - e1s)
-    value[ident] = total
-    est[ident] = 2.0 * _EPS * (np.abs(ell) + np.abs(es) + np.abs(e1s)) + 4.0 * _EPS * np.abs(total)
+    value[ident], est[ident] = _v_identity(_libm(math.log, xi) + EULER_GAMMA, *_exp_integrals_array(xi))
     route[ident] = 1
 
-    asym = x >= 1e3
+    asym = x >= _V_ASYMPTOTIC_MIN
     xa = x[asym]
-    total = _libm(math.log, xa) + EULER_GAMMA
-    p = np.ones_like(xa)
     with np.errstate(over="ignore"):  # powers of x overflow to inf silently, as for floats
-        x2 = xa * xa
-        for fac in (1.0, 6.0, 120.0, 5040.0):
-            p = p * x2
-            total = total - fac / p
-        est[asym] = 362880.0 / (p * x2) + 4.0 * _EPS * np.abs(total)
-    value[asym] = total
+        value[asym], est[asym] = _v_asymptotic(xa, _libm(math.log, xa) + EULER_GAMMA)
     route[asym] = 2
     return value, _V_ROUTES[route].tolist(), est
 

@@ -65,8 +65,15 @@ def validate(p):
         )
 
 
+# the reduced groups are non-negative by construction; these must not be 0 either
+_POSITIVE_GROUPS = ("d_hat", "kappa", "scale_time")
+
+
 def reduce(p):
-    """Dimensionless internal representation of a validated parameter set."""
+    """Dimensionless internal representation of a validated parameter set.
+
+    Raises ValueError when a reduced group leaves the floating-point range.
+    """
     validate(p)
     if p.d_m < 3.0 * p.sigma_m:
         warnings.warn(
@@ -76,14 +83,25 @@ def reduce(p):
             stacklevel=2,
         )
     scale_time = p.mass_kg / p.zeta
-    return ReducedParams(
+    try:
+        kappa = HBAR / (p.zeta * p.sigma_m ** 2)
+    except ZeroDivisionError:  # zeta sigma_m^2 underflows to 0
+        kappa = math.inf
+    except OverflowError:  # sigma_m^2 overflows
+        kappa = 0.0
+    red = ReducedParams(
         tau_hat=p.zeta * p.tau_s / p.mass_kg,
         d_hat=p.d_m / p.sigma_m,
-        kappa=HBAR / (p.zeta * p.sigma_m ** 2),
+        kappa=kappa,
         theta=BOLTZMANN * p.temperature_K * scale_time / HBAR,
         scale_time=scale_time,
         scale_length=p.sigma_m,
     )
+    for name in ("tau_hat", "d_hat", "kappa", "theta", "scale_time"):
+        value = getattr(red, name)
+        if not math.isfinite(value) or (value == 0.0 and name in _POSITIVE_GROUPS):
+            raise ValueError(f"reduced group {name} = {value!r} is out of floating-point range")
+    return red
 
 
 def thermal_ratio(temperature_K, gamma):

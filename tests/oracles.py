@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import mpmath
 
-from qbrownian.bath import OHMIC
 from qbrownian.specfun import EULER_GAMMA, _check_positive
 from qbrownian.units import BOLTZMANN, HBAR, PhysicalParams
 
@@ -82,14 +81,14 @@ def mu_tilde(model, z):
     z = complex(z)
     if z.imag < 0.0:
         raise ValueError(f"transform requires Im z >= 0, got {z!r}")
-    if model.kind == OHMIC:
+    if model.tau == 0.0:
         return complex(model.zeta)
     return model.zeta / (1.0 - 1j * z * model.tau)
 
 
 def mean_square_velocity_approx(model, m=1.0, hbar=1.0):
     """Leading logarithm of the mean-square velocity."""
-    if model.kind == OHMIC:
+    if model.tau == 0.0:
         raise ValueError("the logarithmic approximation needs a finite relaxation time")
     return -hbar * model.zeta / (math.pi * m * m) * math.log(model.zeta * model.tau / m)
 
@@ -142,10 +141,12 @@ def _closed_form(model, t, m, f):
     with the exact rates of the model's float parameters."""
     with mpmath.workdps(_DPS + _GUARD_DPS):
         zeta, tau, m, t = (mpmath.mpf(v) for v in (model.zeta, model.tau, m, t))
-        if model.kind == OHMIC:
+        if model.tau == 0.0:
             return f(zeta * t / m)
         root = mpmath.sqrt(1 - 4 * zeta * tau / m)
-        omega, gamma = (1 + root) / (2 * tau), (1 - root) / (2 * tau)
+        omega = (1 + root) / (2 * tau)
+        # gamma Omega = zeta / (m tau): (1 - root) / (2 tau) cancels to 0 at tiny tau
+        gamma = zeta / (m * tau * omega)
         o2, g2 = omega * omega, gamma * gamma
         return (o2 * f(gamma * t) - g2 * f(omega * t)) / (o2 - g2)
 

@@ -233,6 +233,24 @@ class TestSweep:
         assert "exactly one ranged parameter" in proc.stderr
 
 
+# runs rejected before any row: name -> (config, argv, text on stderr)
+REJECTED = {
+    "grid_parts": (LAB, ["--command", "msd", "--grid", "0,1,5"], "grid must be 'start,stop,count,lin|log'"),
+    "grid_number": (LAB, ["--command", "msd", "--grid", "0,one,5,lin"], "grid: could not convert"),
+    "grid_scale": (LAB, ["--command", "msd", "--grid", "0,1,5,cubic"], "grid scale must be 'lin' or 'log'"),
+    "grid_order": (LAB, ["--command", "msd", "--grid", "1,1,5,lin"], "grid requires start < stop"),
+    "config_unreadable": (None, ["--config", "no-such-dir/config.json", "--command", "msd"], "cannot read config"),
+    "config_not_object": ([LAB], ["--command", "msd", "--grid", "0,1,5,lin"], "config must be a JSON object"),
+    "config_command": (dict(LAB, command="energy"), [], "command must be one of"),
+    "config_output": (dict(LAB, output="xml"), ["--command", "tau-d"], "output must be 'csv' or 'json'"),
+    "time_s_negative": (dict(LAB, time_s=-1.0), ["--command", "tau-d"], "field 'time_s' must be a non-negative number"),
+    "time_s_bool": (dict(LAB, time_s=True), ["--command", "tau-d"], "field 'time_s' must be a non-negative number"),
+    "sweep_non_number": (dict(LAB, tau_s=[1e-3, "x"]), ["--command", "sweep"], "must be a non-empty list of numbers"),
+    "sweep_observable": (dict(LAB, tau_s=[1e-3], observable="energy"), ["--command", "sweep"], "unknown sweep observable"),
+    "sweep_without_grid": (dict(LAB, tau_s=[1e-3], observable="msd"), ["--command", "sweep"], "grid is required"),
+}
+
+
 class TestValidation:
     def test_underdamped_rejected_with_constraint_named(self, run_cli):
         config = dict(LAB, tau_s=0.3)
@@ -269,6 +287,15 @@ class TestValidation:
         assert proc.returncode == 0, proc.stderr
         assert len(record) == 1
         assert record[0].filename == cli.__file__
+
+    @pytest.mark.parametrize("name", list(REJECTED))
+    def test_rejected_with_message_and_no_traceback(self, run_cli, name):
+        config, args, message = REJECTED[name]
+        proc = run_cli(*args, config=config)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_output_shape(self, run_cli):
         proc = run_cli(

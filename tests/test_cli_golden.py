@@ -26,6 +26,8 @@ LAB_WARM = dict(LAB, temperature_K=1e-12)
 LAB_NEAR = dict(LAB, tau_s=0.25 * (1.0 - 1e-8))
 # 1 - 4 zeta tau / m = 1e-14 in SI units of 1: the divided-difference form
 DEG = {"mass_kg": 1, "zeta": 1, "tau_s": 0.2499999999999975, "sigma_m": 1, "d_m": 20, "temperature_K": 0}
+# tau_hat = 0.01, d_hat = 4, kappa = 1.054571817
+WIDE = {"mass_kg": 1e-26, "zeta": 1e-22, "tau_s": 1e-6, "sigma_m": 1e-6, "d_m": 4e-6, "temperature_K": 0.0}
 CASES = {
     "msd_csv": (LAB, ["--command", "msd", "--grid", "0,2,6,lin"]),
     "msd_json": (BE9, ["--command", "msd", "--grid", "1e-9,1e-3,7,log", "--output", "json"]),
@@ -104,6 +106,15 @@ CASES = {
     "msd_degenerate_subnormal_csv": (DEG, ["--command", "msd", "--grid", "0,1e-310,3,lin"]),
     # u = 1.7e308: e^u E1(u) past 2^1022, next to the top of the float range
     "msd_degenerate_huge_csv": (DEG, ["--command", "msd", "--grid", "0,8.5e307,2,lin"]),
+    # d = 4 sigma: the 1/e crossing lies above tau0, refused with exit 3
+    "tau_d_above_tau0_csv": (WIDE, ["--command", "tau-d"]),
+    # d = 3 sigma: the attenuation stays above 1/e up to the scan cap
+    "tau_d_scan_cap_csv": (dict(WIDE, d_m=3e-6), ["--command", "tau-d"]),
+    # zeta sigma^2 underflows to 0: kappa leaves the float range, exit 2
+    "msd_kappa_overflow_csv": (dict(BE9, sigma_m=1e-170), ["--command", "msd", "--grid", "0,1e-3,3,lin"]),
+    # tau_hat = 6e-157: Omega^2 overflows in the two-rate closed forms
+    "msd_fast_rate_csv": (dict(BE9, tau_s=1e-160), ["--command", "msd", "--grid", "0,1e-3,3,lin"]),
+    "tau_d_fast_rate_csv": (dict(BE9, tau_s=1e-160), ["--command", "tau-d"]),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbrownian import decoherence as dec
-from qbrownian.bath import ohmic, single_relaxation_time
+from qbrownian.bath import BathModel, ohmic, single_relaxation_time
 from qbrownian.decoherence import (
     BracketScanError,
     CatState,
@@ -17,7 +17,7 @@ from qbrownian.decoherence import (
     probability_profile,
     tau0,
 )
-from qbrownian.units import HBAR, NarrowSeparationWarning
+from qbrownian.units import HBAR, NarrowSeparationWarning, PhysicalParams, reduce
 from conftest import integrate_profile
 
 EIGHT_PI = 8.0 * math.pi
@@ -204,6 +204,23 @@ class TestDecoherenceTime:
         # tau0 here exceeds 1e12 m/zeta: the scan cap lies below 1e-6 tau0
         with pytest.raises(BracketScanError):
             decoherence_time(CatState(1.0, 10.0), single_relaxation_time(1.0, 0.01), hbar=1e-26)
+
+    def test_crossing_above_tau0_refused(self):
+        # d = 4 sigma: the attenuation reaches 1/e only at about 3.25 tau0
+        red = reduce(PhysicalParams(1e-26, 1e-22, 1e-6, 1e-6, 4e-6, 0.0))
+        model = BathModel(1.0, red.tau_hat)
+        with pytest.raises(BracketScanError, match="did not fall below tau0"):
+            decoherence_time(CatState(1.0, red.d_hat), model, hbar=red.kappa)
+
+    def test_overflowing_fast_rate_root(self):
+        # the ion trap with tau_s = 1e-160: Omega^2 overflows in the closed forms
+        red = reduce(PhysicalParams(ION_MASS, ION_MASS * 6e3, 1e-160, 1e-10, 1e-2, 0.0))
+        model = BathModel(1.0, red.tau_hat)
+        state = CatState(1.0, red.d_hat)
+        rep = decoherence_time(state, model, hbar=red.kappa)
+        assert 1e-6 * rep.tau0 < rep.tau_d < rep.tau0
+        below = attenuation_exact(state, model, rep.tau_d * (1.0 - 2e-10), hbar=red.kappa)
+        assert attenuation_exact(state, model, rep.tau_d, hbar=red.kappa) <= math.exp(-1.0) < below
 
     def test_finite_temperature_root(self):
         state = CatState(1.0, 1000.0)

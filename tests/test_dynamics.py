@@ -293,6 +293,21 @@ class TestMomentsGrid:
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(c / c_ref - 1.0).max() <= 1e-13
 
+    def test_overflowing_fast_rate_matches_oracle(self):
+        # tau_hat = 6e-157 (the ion trap with tau_s = 1e-160): Omega^2 overflows
+        model = single_relaxation_time(1.0, 6e-157)
+        rp = rates(model)
+        assert rp.Omega * rp.Omega == math.inf
+        ts = np.geomspace(1e-12, 1e5, 69)
+        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
+        c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
+        assert np.abs(s / s_ref - 1.0).max() <= 1e-12
+        assert np.abs(c / c_ref - 1.0).max() <= 1e-12
+        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0) for t in ts.tolist()]
+        assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
+        assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
+
     def test_finite_temperature_matches_scalar(self):
         ts = np.array([0.0, 0.05, 2.0])
         s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.5, None, 1.0, 1.0)

@@ -217,6 +217,13 @@ class TestFluctuationIntegral:
         assert math.isfinite(res.value)
         assert res.panels_used <= 16
 
+    def test_nan_value_is_flagged(self):
+        # Omega^2 overflows in the flat tail at tau = 6e-157: the value is nan,
+        # which no error budget covers
+        with np.errstate(all="ignore"):
+            res = integrate_fluctuation(single_relaxation_time(1.0, 6e-157), 0.5, 1.0)
+        assert res.failed or math.isfinite(res.value)
+
     def test_budget_fields_nonnegative(self):
         res = integrate_fluctuation(single_relaxation_time(1.0, 0.1), 2.0, 1.0)
         assert res.est_error >= 0.0

@@ -58,6 +58,21 @@ class TestReduce:
         with pytest.raises(ValueError, match=field):
             reduce(PhysicalParams(**values))
 
+    @pytest.mark.parametrize(
+        "changes, group",
+        [
+            (dict(sigma_m=1e-170), "kappa"),  # zeta sigma_m^2 underflows to 0
+            (dict(sigma_m=1e160, d_m=1e170), "kappa"),  # sigma_m^2 overflows
+            (dict(d_m=1e300), "d_hat"),
+            (dict(temperature_K=1e308), "theta"),
+            (dict(mass_kg=1e-300, zeta=1e300), "scale_time"),
+        ],
+    )
+    def test_group_out_of_float_range_rejected(self, changes, group):
+        params = PhysicalParams(**dict(vars(BE9), **changes))
+        with pytest.raises(ValueError, match=f"reduced group {group} = .* is out of floating-point range"):
+            reduce(params)
+
     def test_round_trip_property(self, rng):
         for _ in range(100):
             mass = 10.0 ** rng.uniform(-27, 0)
