@@ -77,10 +77,6 @@ class _ScalarOps:
         """f at each argument."""
         return [f(x) for x in xs]
 
-    def nonzero(self, f, x, *args):
-        """f(x, *args, self), or exactly 0 at x = 0."""
-        return 0.0 if x == 0.0 else f(x, *args, self)
-
 
 class _ArrayOps:
     """Float arrays: the specfun array kernels and math element by element."""
@@ -112,13 +108,6 @@ class _ArrayOps:
     def batch(f, *xs):
         """f at each array, all in one call of f."""
         return np.split(f(np.concatenate(xs)), len(xs))
-
-    def nonzero(self, f, x, *args):
-        """f(x, *args, self) on the nonzero elements of x, exactly 0 elsewhere."""
-        out = np.zeros_like(x)
-        hit = x != 0.0
-        out[hit] = f(x[hit], *args, self)
-        return out
 
 
 # the closed forms below are written once for both: the same operations in
@@ -165,19 +154,19 @@ def _closed(pref, f, df, model, rp, t, m, ops):
 
 
 def _msd_closed(t, model, rp, m, hbar, ops):
-    """Zero-temperature s at t > 0; rp is _rates(model, m)."""
+    """Zero-temperature s, +0.0 at t = 0; rp is _rates(model, m)."""
     return _closed(2.0 * hbar / (math.pi * model.zeta), ops.v, ops.v_prime, model, rp, t, m, ops)
 
 
 def _commutator_closed(t, model, rp, m, hbar, ops):
-    """C at t > 0; rp is _rates(model, m)."""
+    """C, +0.0 at t = 0; rp is _rates(model, m)."""
     return _closed(hbar / model.zeta, lambda u: -ops.expm1(-u), lambda u: ops.exp(-u), model, rp, t, m, ops)
 
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
     """Zero-temperature mean-square displacement, closed form."""
     _check_time(t)
-    return _SCALAR.nonzero(_msd_closed, t, model, _rates(model, m), m, hbar)
+    return _msd_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
 
 
 def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
@@ -194,7 +183,7 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     """C(t) >= 0 with [x(0), x(t)] = i C(t); temperature independent."""
     _check_time(t)
-    return _SCALAR.nonzero(_commutator_closed, t, model, _rates(model, m), m, hbar)
+    return _commutator_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
 
 
 def _msd(model, rp, t, theta, cfg, m, hbar, context=None):
@@ -224,13 +213,13 @@ def _moments(model, t, sigma, theta, cfg, m, hbar, context=None):
     _check_time(t)
     rp = _rates(model, m)
     s, route = _msd(model, rp, t, theta, cfg, m, hbar, context)
-    c = _SCALAR.nonzero(_commutator_closed, t, model, rp, m, hbar)
+    c = _commutator_closed(t, model, rp, m, hbar, _SCALAR)
     half = c / (2.0 * sigma)
     return s, c, sigma * sigma + half * half + s, route
 
 
 def _zero_T_grid(closed, model, rp, t, m, hbar):
-    """A closed form over a time array, exactly 0 where t = 0.
+    """A closed form over a time array.
 
     Raises what the point-by-point evaluation would raise first: a failure
     of the closed form at an earlier time, else _check_time's error for the
@@ -238,7 +227,7 @@ def _zero_T_grid(closed, model, rp, t, m, hbar):
     """
     bad = ~(np.isfinite(t) & (t >= 0.0))
     stop = int(bad.argmax()) if bad.any() else t.size
-    out = _ARRAY.nonzero(closed, t[:stop], model, rp, m, hbar)
+    out = closed(t[:stop], model, rp, m, hbar, _ARRAY)
     if stop < t.size:
         _check_time(float(t[stop]))
     return out
