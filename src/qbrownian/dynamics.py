@@ -16,11 +16,13 @@ import numpy as np
 from . import bath as _bath
 from .quadrature import integrate_fluctuation, scaled
 from .specfun import (
+    _EI_SERIES_MAX,
     _V_TAYLOR_MAX,
     EULER_GAMMA,
     _exp_integrals_array,
     _libm,
     _v_array,
+    _v_prime_asymptotic,
     _v_prime_taylor,
     e1_scaled,
     ei_scaled_pos,
@@ -67,7 +69,10 @@ class _ScalarOps:
 
     @staticmethod
     def v_prime(x):
-        """V'(x) = (e^-x Ei(x) + e^x E1(x)) / 2; the Taylor derivative below _V_TAYLOR_MAX."""
+        """V'(x) = (e^-x Ei(x) + e^x E1(x)) / 2 on [_V_TAYLOR_MAX, _EI_SERIES_MAX);
+        the Taylor derivative below, the asymptotic sum above."""
+        if x >= _EI_SERIES_MAX:
+            return _v_prime_asymptotic(x)
         if x >= _V_TAYLOR_MAX:
             return 0.5 * (ei_scaled_pos(x) + e1_scaled(x))
         return 0.0 if x == 0.0 else _v_prime_taylor(x, math.log(x) + EULER_GAMMA)
@@ -96,10 +101,12 @@ class _ArrayOps:
     @staticmethod
     def v_prime(x):
         out = np.zeros_like(x)
-        high = x >= _V_TAYLOR_MAX
-        es, e1s = _exp_integrals_array(x[high])
-        out[high] = 0.5 * (es + e1s)
-        low = (x > 0.0) & ~high
+        high = x >= _EI_SERIES_MAX
+        out[high] = _v_prime_asymptotic(x[high])
+        mid = (x >= _V_TAYLOR_MAX) & ~high
+        es, e1s = _exp_integrals_array(x[mid])
+        out[mid] = 0.5 * (es + e1s)
+        low = (x > 0.0) & (x < _V_TAYLOR_MAX)
         xl = x[low]
         out[low] = _v_prime_taylor(xl, _libm(math.log, xl) + EULER_GAMMA)
         return out

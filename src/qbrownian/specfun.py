@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,15 +19,15 @@ _EPS = 2.220446049250313e-16
 _MIN_NORMAL = 2.2250738585072014e-308
 _MAX_SERIES_TERMS = 400
 
-# Harmonic numbers H_2, H_4, ..., H_10; coefficients of the Taylor
+# Harmonic numbers H_2, H_4, ..., H_28; coefficients of the Taylor
 # development of the defining integral of V about x = 0.
-_H_EVEN = (3.0 / 2.0, 25.0 / 12.0, 49.0 / 20.0, 761.0 / 280.0, 7381.0 / 2520.0)
+_H_EVEN = tuple(float(sum(Fraction(1, j) for j in range(1, n + 1))) for n in range(2, 30, 2))
 
 # route switch points
-_V_TAYLOR_MAX = 1e-2  # V: Taylor development below, exponential-integral identity above
-_V_ASYMPTOTIC_MIN = 1e3  # V: inverse-power asymptotics from here on
+_V_TAYLOR_MAX = 2.0  # V, V': Taylor development below, exponential-integral identity above
 _E1_SERIES_MAX = 1.0  # e^x E1: power series up to here, continued fraction above
-_EI_SERIES_MAX = 40.0  # e^-x Ei: power series up to here, asymptotic sum above
+# e^-x Ei: power series up to here, asymptotic sum above; V, V': inverse-power sums from here on
+_EI_SERIES_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -123,17 +124,27 @@ def ei_scaled_pos(x):
 # for a float, _libm for an array), so both give the same bits
 
 
-def _v_taylor(x, ell, x12):
-    """Taylor development of the defining integral about x = 0 and its
-    truncation bound; x12 = x ** 12."""
+def _v_taylor(x, ell):
+    """Taylor development of the defining integral about x = 0 and a bound
+    on its truncation and on the rounding of ell.
+
+    Below x = e^(3/2 - gamma_E) the terms -x^2k/(2k)! (ell - H_2k) are all
+    positive, and below _V_TAYLOR_MAX those past the fourteenth fall by a
+    factor of 200 or more each: the next term, with |ell| + 4.1 for
+    H_30 - ell, bounds the rest. The rounding of ell enters every term, in
+    all (cosh x - 1) |ell| eps.
+    """
     total = 0.0
+    cosh_m1 = 0.0
     p = 1.0
     fact = 1.0
     for k, h in enumerate(_H_EVEN, start=1):
         p = p * (x * x)
         fact *= (2 * k - 1) * (2 * k)
-        total = total - p / fact * (ell - h)
-    return total, x12 / 479001600.0 * (abs(ell) + 3.2)
+        term = p / fact
+        cosh_m1 = cosh_m1 + term
+        total = total - term * (ell - h)
+    return total, p * (x * x) / (fact * 870.0) * (abs(ell) + 4.1) + 2.0 * _EPS * abs(ell) * cosh_m1
 
 
 def _v_prime_taylor(x, ell):
@@ -159,21 +170,31 @@ def _v_identity(ell, es, e1s):
 
 
 def _v_asymptotic(x, ell):
-    """V = ell - 1/x^2 - 3!/x^4 - 5!/x^6 - 7!/x^8 and its truncation bound."""
-    x2 = x * x
-    value = ell
-    p = 1.0
-    for fac in (1.0, 6.0, 120.0, 5040.0):
-        p = p * x2
-        value = value - fac / p
-    return value, 362880.0 / (p * x2) + 4.0 * _EPS * abs(value)
+    """V = ell - sum_{k<=10} (2k-1)!/x^2k and its truncation bound, the next term."""
+    y = 1.0 / x / x
+    term = total = y
+    for k in range(2, 11):
+        term = term * ((2 * k - 2) * (2 * k - 1) * y)
+        total = total + term
+    value = ell - total
+    return value, term * (420.0 * y) + 4.0 * _EPS * abs(value)
+
+
+def _v_prime_asymptotic(x):
+    """V'(x) = 1/x + sum_{k<=18} (2k)!/x^(2k+1) from _EI_SERIES_MAX on, for a
+    float or an array, summed from the smallest term."""
+    y = 1.0 / x / x
+    acc = 1.0
+    for k in range(18, 0, -1):
+        acc = 1.0 + (2 * k - 1) * (2 * k) * y * acc
+    return acc / x
 
 
 def v_function(x):
     """V(x) = integral_0^inf dy x^2 (1 - cos y) / (y (y^2 + x^2)).
 
     Production evaluation: Taylor development below _V_TAYLOR_MAX, the
-    scaled exponential-integral identity below _V_ASYMPTOTIC_MIN,
+    scaled exponential-integral identity below _EI_SERIES_MAX,
     inverse-power asymptotics beyond. Targets 1e-12 relative accuracy
     (absolute where |V| < 1).
     """
@@ -186,9 +207,9 @@ def v_function(x):
         return VEval(0.0, "series", 0.0)
     ell = math.log(x) + EULER_GAMMA
     if x < _V_TAYLOR_MAX:
-        value, trunc = _v_taylor(x, ell, x ** 12)
+        value, trunc = _v_taylor(x, ell)
         return VEval(value, "series", trunc + 4.0 * _EPS * max(abs(value), 1e-300))
-    if x < _V_ASYMPTOTIC_MIN:
+    if x < _EI_SERIES_MAX:
         value, est = _v_identity(ell, ei_scaled_pos(x), e1_scaled(x))
         return VEval(value, "ei_identity", est)
     value, est = _v_asymptotic(x, ell)
@@ -245,7 +266,6 @@ def _e1_cf_array(x):
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / b
     h = d
-    subnormal = d < _MIN_NORMAL  # as in e1_scaled, these stop after one step
     for i in range(1, 20000):
         if not live.size:
             return out
@@ -261,53 +281,17 @@ def _e1_cf_array(x):
         delta = d * c
         h = h * delta
         done = np.abs(delta - 1.0) < _EPS
-        if i == 1:
-            done |= subnormal
         if done.any():
             live, b, c, d, h = _retire(out, done, h, live, b, c, d, h)
     raise RuntimeError(f"continued fraction for E1 did not converge at x={float(x[live[0]])!r}")
 
 
-def _ei_asymptotic_array(x):
-    """The divergent asymptotic series of ei_scaled_pos, before the division by x."""
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 400):
-        if not live.size:
-            return out
-        prev = term
-        term = term * (k / x)
-        grew = term >= prev
-        total = np.where(grew, total, total + term)
-        done = grew | (term < _EPS * total)
-        if done.any():
-            live, x, term, total = _retire(out, done, total, live, x, term, total)
-    out[live] = total
-    return out
-
-
 def _exp_integrals_array(x):
-    """ei_scaled_pos and e1_scaled over an array of positive arguments.
-
-    One series pass serves both: the Ei series up to _EI_SERIES_MAX and the
-    E1 series up to _E1_SERIES_MAX, which share log x.
-    """
-    ei_low = x <= _EI_SERIES_MAX
-    e1_low = x <= _E1_SERIES_MAX
-    x_ei, x_e1 = x[ei_low], x[e1_low]
-    log_ei = _libm(math.log, x_ei)
-    series = _s1_array(np.concatenate((x_ei, -x_e1)))
-    es = np.empty_like(x)
-    es[ei_low] = _libm(math.exp, -x_ei) * (EULER_GAMMA + log_ei + series[:x_ei.size])
-    x_hi = x[~ei_low]
-    es[~ei_low] = _ei_asymptotic_array(x_hi) / x_hi
-    e1s = np.empty_like(x)
-    e1 = -EULER_GAMMA - log_ei[e1_low[ei_low]] - series[x_ei.size:]
-    e1s[e1_low] = _libm(math.exp, x_e1) * e1
-    e1s[~e1_low] = _e1_cf_array(x[~e1_low])
-    return es, e1s
+    """ei_scaled_pos and e1_scaled over an array of arguments in
+    (_E1_SERIES_MAX, _EI_SERIES_MAX]: the Ei power series and the E1
+    continued fraction."""
+    es = _libm(math.exp, -x) * (EULER_GAMMA + _libm(math.log, x) + _s1_array(x))
+    return es, _e1_cf_array(x)
 
 
 _V_ROUTES = np.array(["series", "ei_identity", "asymptotic"], dtype=object)
@@ -328,19 +312,18 @@ def _v_array(x):
 
     series = (x > 0.0) & (x < _V_TAYLOR_MAX)
     xs = x[series]
-    total, trunc = _v_taylor(xs, _libm(math.log, xs) + EULER_GAMMA, _libm(lambda v: v ** 12, xs))
+    total, trunc = _v_taylor(xs, _libm(math.log, xs) + EULER_GAMMA)
     value[series] = total
     est[series] = trunc + 4.0 * _EPS * np.maximum(np.abs(total), 1e-300)
 
-    ident = (x >= _V_TAYLOR_MAX) & (x < _V_ASYMPTOTIC_MIN)
+    ident = (x >= _V_TAYLOR_MAX) & (x < _EI_SERIES_MAX)
     xi = x[ident]
     value[ident], est[ident] = _v_identity(_libm(math.log, xi) + EULER_GAMMA, *_exp_integrals_array(xi))
     route[ident] = 1
 
-    asym = x >= _V_ASYMPTOTIC_MIN
+    asym = x >= _EI_SERIES_MAX
     xa = x[asym]
-    with np.errstate(over="ignore"):  # powers of x overflow to inf silently, as for floats
-        value[asym], est[asym] = _v_asymptotic(xa, _libm(math.log, xa) + EULER_GAMMA)
+    value[asym], est[asym] = _v_asymptotic(xa, _libm(math.log, xa) + EULER_GAMMA)
     route[asym] = 2
     return value, _V_ROUTES[route].tolist(), est
 

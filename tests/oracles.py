@@ -135,6 +135,13 @@ def v_mp(x):
         return float(_v_mp(mpmath.mpf(x)))
 
 
+def v_prime_mp(x):
+    """V'(x) = (e^-x Ei(x) + e^x E1(x)) / 2 to 50 digits, rounded to a float."""
+    with mpmath.workdps(_DPS):
+        x = mpmath.mpf(x)
+        return float((mpmath.exp(-x) * mpmath.ei(x) + mpmath.exp(x) * mpmath.e1(x)) / 2)
+
+
 def _closed_form(model, t, m, f):
     """f(zeta t/m) for the Ohmic bath; for the memory bath the two-rate
     combination (Omega^2 f(gamma t) - gamma^2 f(Omega t)) / (Omega^2 - gamma^2)

@@ -8,7 +8,9 @@ import pytest
 from qbrownian import quadrature
 from qbrownian.bath import ohmic, rates, single_relaxation_time
 from qbrownian.dynamics import (
+    _ARRAY,
     _NEAR_RATES,
+    _SCALAR,
     QuadratureFailure,
     _moments,
     _moments_grid,
@@ -23,7 +25,7 @@ from qbrownian.dynamics import (
 )
 from qbrownian.quadrature import QuadratureConfig, integrate_fluctuation
 from qbrownian.specfun import EULER_GAMMA, v_function
-from oracles import commutator_mp, mean_square_velocity_approx, msd_zero_T_mp
+from oracles import commutator_mp, mean_square_velocity_approx, msd_zero_T_mp, v_prime_mp
 
 SRT01 = single_relaxation_time(1.0, 0.1)
 
@@ -214,6 +216,28 @@ class TestMonotonicity:
                 assert np.all(diffs >= -1e-12 * np.abs(series[-1]))
 
 
+class TestVPrime:
+    """Both v_prime members against the 50-digit oracle, with equal bits."""
+
+    # 10 points a decade, and the neighbours of the switch points 2 and 40
+    X = np.concatenate((
+        np.geomspace(1e-4, 1e4, 81),
+        [y for b in (2.0, 40.0) for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))],
+    ))
+
+    def test_matches_oracle_with_equal_bits(self):
+        got = _ARRAY.v_prime(self.X)
+        assert got.tobytes() == np.array([_SCALAR.v_prime(x) for x in self.X.tolist()]).tobytes()
+        ref = np.array([v_prime_mp(x) for x in self.X.tolist()])
+        # e1_scaled's continued fraction is a few ulp off just above x = 2:
+        # 2.9e-15 at the worst of 100,000 random points on [1.5, 2.5]
+        assert np.abs(got / ref - 1.0).max() <= 4e-15
+
+    def test_zero(self):
+        assert _SCALAR.v_prime(0.0) == 0.0
+        assert _ARRAY.v_prime(np.zeros(2)).tolist() == [0.0, 0.0]
+
+
 def near_degenerate(gap):
     """Memory bath with 1 - 4 zeta tau / m = gap."""
     return single_relaxation_time(1.0, 0.25 * (1.0 - gap))
@@ -268,24 +292,40 @@ class TestMomentsGrid:
 
     @pytest.mark.parametrize("gap", [1e-14, 1.01e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
     def test_near_degenerate_grid_matches_oracle(self, gap):
-        # 4 points a decade; the worst s sits near V's 1e-2 switch (about 1e-11)
+        # 4 points a decade
         model = near_degenerate(gap)
         assert _near(rates(model))
         ts = np.geomspace(1e-12, 1e5, 69)
         s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
-        assert np.abs(s / s_ref - 1.0).max() <= 1e-10
+        assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         assert np.abs(c / c_ref - 1.0).max() <= 1e-13
         ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0) for t in ts.tolist()]
         assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
+    @pytest.mark.parametrize(
+        "model",
+        [single_relaxation_time(1.0, tau) for tau in (0.2, 0.1, 0.01, 1e-4)]
+        + [near_degenerate(r * r) for r in (0.05, 0.08, 0.12)],
+        ids=["tau_0.2", "tau_0.1", "tau_0.01", "tau_1e-4", "r_0.05", "r_0.08", "r_0.12"],
+    )
+    def test_memory_bath_grid_matches_oracle(self, model):
+        # ordinary baths, and the direct form just above the switch to the
+        # divided difference, r = (Omega - gamma)/(Omega + gamma) from 0.05
+        ts = np.geomspace(1e-12, 1e5, 69)
+        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
+        c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
+        assert np.abs(s / s_ref - 1.0).max() <= 1e-12
+        assert np.abs(c / c_ref - 1.0).max() <= 1e-12
+
     def test_near_degenerate_at_huge_times(self):
         # the degeneracy expansion this form replaced multiplied a one-ulp
         # error of V' by u^3 from u = 1e13 on (s = 4.2e173 at t = 1e102)
         model = GRID_BATHS["gap_1e-14"]
-        ts = np.geomspace(1.0, 1e300, 301)
+        ts = np.geomspace(1e-12, 1e300, 313)
         s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
         assert np.all(s > 0.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])

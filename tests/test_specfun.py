@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrownian.specfun import (
+    _EI_SERIES_MAX,
+    _V_TAYLOR_MAX,
     EULER_GAMMA,
     _exp_integrals_array,
     _v_array,
@@ -22,7 +24,7 @@ from qbrownian.specfun import (
     ei_scaled_pos,
     v_function,
 )
-from oracles import v_asymptotic, v_series, v_small
+from oracles import v_asymptotic, v_mp, v_series, v_small
 
 mp.mp.dps = 30
 
@@ -39,6 +41,16 @@ V_VALUES = {
     10.0: 2.869008914628767,
     100.0: 5.182285790769117,
 }
+
+# the branch points of e^x E1 (1) and of V, V' and e^-x Ei (2, 40)
+BRANCHES = (1.0, 2.0, 40.0)
+NEIGHBOURS = np.array(
+    [y for b in BRANCHES for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+)
+# V against the 50-digit oracle. The worst points sit just above x = 2,
+# where e1_scaled's continued fraction is a few ulp off: 1.6e-15 at the
+# worst of 150,000 random points on [1.5, 3], 6.7e-16 on a 2001-point log grid
+V_REL_ERROR = 2e-15
 
 
 class TestScaledExponentialIntegrals:
@@ -73,7 +85,6 @@ class TestScaledExponentialIntegrals:
         x = np.concatenate((np.linspace(4.4e307, 1.7976931348623157e308, 200), [1.7e308]))
         ref = [e1_scaled(xi) for xi in x.tolist()]
         assert np.all(np.abs(np.array(ref) - 1.0 / x) <= 5e-324)
-        assert_exp_integrals_array_are_scalar(x)
 
     def test_e1_scaled_sandwich_bounds(self):
         for x in np.geomspace(1e-2, 1e4, 40):
@@ -111,9 +122,17 @@ class TestVFunction:
         assert res.value == pytest.approx(ref, rel=1e-12)
 
     def test_methods_by_regime(self):
-        assert v_function(1e-3).method == "series"
-        assert v_function(1.0).method == "ei_identity"
-        assert v_function(1e4).method == "asymptotic"
+        below, above = np.nextafter(_V_TAYLOR_MAX, 0.0), np.nextafter(_EI_SERIES_MAX, 0.0)
+        assert [v_function(x).method for x in (1e-3, 1.0, below)] == ["series"] * 3
+        assert [v_function(x).method for x in (2.0, 10.0, above)] == ["ei_identity"] * 3
+        assert [v_function(x).method for x in (40.0, 1e3, 1e4)] == ["asymptotic"] * 3
+
+    def test_matches_oracle_on_log_grid(self):
+        # 10 points a decade and the neighbours of both switch points
+        x = np.concatenate((np.geomspace(1e-4, 1e4, 81), NEIGHBOURS[NEIGHBOURS != 1.0]))
+        got = np.array([v_function(xi).value for xi in x.tolist()])
+        ref = np.array([v_mp(xi) for xi in x.tolist()])
+        assert np.abs(got / ref - 1.0).max() <= V_REL_ERROR
 
     def test_est_error_contract_on_log_grid(self):
         # est_error <= 1e-12 * max(1, |V|) across twelve decades
@@ -206,11 +225,6 @@ class TestCothKernel:
             coth_kernel(np.array([1.0, -2.0]), 1.0)
 
 
-# the branch points of V (1e-2, 1e3), of e^x E1 (1) and of e^-x Ei (40)
-BRANCHES = (1e-2, 1.0, 40.0, 1e3)
-NEIGHBOURS = np.array(
-    [y for b in BRANCHES for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
-)
 DENSE = np.concatenate(([0.0], np.geomspace(1e-300, 1e6, 20001), NEIGHBOURS))
 
 
@@ -227,6 +241,11 @@ def assert_v_array_is_scalar(x):
     assert same_bits(est, [r.est_error for r in ref])
 
 
+def identity_window(x):
+    """The arguments _exp_integrals_array serves: [_V_TAYLOR_MAX, _EI_SERIES_MAX)."""
+    return x[(x >= _V_TAYLOR_MAX) & (x < _EI_SERIES_MAX)]
+
+
 def assert_exp_integrals_array_are_scalar(x):
     es, e1s = _exp_integrals_array(x)
     assert same_bits(es, [ei_scaled_pos(xi) for xi in x.tolist()])
@@ -240,16 +259,16 @@ class TestArrayKernelsBitwise:
         assert_v_array_is_scalar(DENSE)
 
     def test_exp_integrals_dense_log_grid_and_branch_neighbours(self):
-        assert_exp_integrals_array_are_scalar(DENSE[DENSE > 0.0])
+        x = identity_window(np.concatenate((np.geomspace(2.0, 40.0, 4001), NEIGHBOURS)))
+        assert_exp_integrals_array_are_scalar(x)
 
     def test_v_at_zero(self):
         assert_v_array_is_scalar(np.zeros(3))
 
     def test_unsorted_repeated_and_huge_arguments(self):
-        x = np.array([40.0, 1e-5, 1e4, 0.5, 40.0, 2.0, 0.0, 1e-2, 1.7e308, 1e200])
+        x = np.array([40.0, 1e-5, 1e4, 0.5, 39.5, 2.0, 0.0, 1e-2, 1.7e308, 1e200, 7.25, 2.0, 40.0])
         assert_v_array_is_scalar(x)
-        # 1.7e308 is covered by test_e1_near_top_of_float_range
-        assert_exp_integrals_array_are_scalar(x[(x > 0.0) & (x <= 1e200)])
+        assert_exp_integrals_array_are_scalar(identity_window(x))
 
     def test_empty(self):
         value, method, est = _v_array(np.array([]))
@@ -260,7 +279,7 @@ class TestArrayKernelsBitwise:
     def test_v_property(self, xs):
         x = np.array(xs)
         assert_v_array_is_scalar(x)
-        assert_exp_integrals_array_are_scalar(x[x > 0.0])
+        assert_exp_integrals_array_are_scalar(identity_window(x))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -0.5e-300])
     def test_rejects_like_scalar(self, bad):
