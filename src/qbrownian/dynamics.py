@@ -167,7 +167,8 @@ def _msd_closed(t, model, rp, m, hbar, ops):
 
 def _commutator_closed(t, model, rp, m, hbar, ops):
     """C, +0.0 at t = 0; rp is _rates(model, m)."""
-    return _closed(hbar / model.zeta, lambda u: -ops.expm1(-u), lambda u: ops.exp(-u), model, rp, t, m, ops)
+    # 1 - e^-u as 0 - expm1(-u): the same bits, and +0.0 at u = -0.0 too
+    return _closed(hbar / model.zeta, lambda u: 0.0 - ops.expm1(-u), lambda u: ops.exp(-u), model, rp, t, m, ops)
 
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):

@@ -128,6 +128,16 @@ class TestCommutator:
         )
 
 
+    @pytest.mark.parametrize("model", [ohmic(1.0), SRT01, single_relaxation_time(1.0, 0.25 * (1.0 - 1e-10))])
+    def test_signed_zero_time_gives_positive_zero(self, model):
+        # the closed forms themselves return +0.0 at t = 0, for floats and arrays
+        for t in (0.0, -0.0):
+            assert math.copysign(1.0, commutator_magnitude(model, t)) == 1.0
+            assert math.copysign(1.0, msd_zero_T(model, t)) == 1.0
+        s, c, _, _ = _moments_grid(model, np.array([0.0, -0.0]), 1.0, 0.0, None, 1.0, 1.0)
+        assert not np.signbit(s).any() and not np.signbit(c).any()
+
+
 class TestPacketVariance:
     def test_initial_width(self):
         assert packet_variance(SRT01, 0.0, 2.0) == 4.0
