@@ -127,7 +127,6 @@ class TestCommutator:
             0.5 * (1.0 - math.exp(-2.0 * t / 1.5)), rel=1e-14
         )
 
-
     @pytest.mark.parametrize("model", [ohmic(1.0), SRT01, single_relaxation_time(1.0, 0.25 * (1.0 - 1e-10))])
     def test_signed_zero_time_gives_positive_zero(self, model):
         # the closed forms themselves return +0.0 at t = 0, for floats and arrays
