@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -39,27 +40,14 @@ _COLUMNS = {
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    start: float
-    stop: float
-    count: int
-    scale: str  # "lin" | "log"
-
-    def values(self):
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
 class RunSpec:
     command: str
     raw: dict
-    grid: GridSpec | None
+    grid: np.ndarray | None  # the grid's values
     output: str
     quad: QuadratureConfig
     time_s: float
-    observable: str
+    observable: str  # the command itself, but for a sweep
 
 
 def _parse_grid(text):
@@ -76,11 +64,11 @@ def _parse_grid(text):
         raise ValueError(f"grid scale must be 'lin' or 'log', got {scale!r}")
     if not (2 <= count <= 10 ** 7):
         raise ValueError(f"grid count must be in [2, 1e7], got {count}")
-    if not (start < stop):
-        raise ValueError(f"grid requires start < stop, got {start} >= {stop}")
+    if not (-math.inf < start < stop < math.inf):
+        raise ValueError(f"grid requires start < stop, both finite, got {start} and {stop}")
     if scale == "log" and start <= 0.0:
         raise ValueError("log grid requires start > 0")
-    return GridSpec(start, stop, count, scale)
+    return (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
 
 
 # rows per CSV write: the text held at once stays small at any grid size,
@@ -128,109 +116,74 @@ def _reduced_setup(raw):
     return red, model, state
 
 
-def _time_rows(observable, grid, red, model, state, quad):
-    """Columns of one observable, without sweep prefix, and whether all met budget.
+def _block(spec, red, model, state):
+    """Columns of one block, without sweep prefix, and whether all met budget.
 
-    tau-d gives one row and ignores the grid; the others give one row per
-    grid time, and a quadrature_failed row makes the flag false.
+    tau-d gives one row, profile one per grid point at time_s, the others
+    one per grid time; a quadrature_failed row makes the flag false.
     """
-    st = red.scale_time
+    observable, st, sigma = spec.observable, red.scale_time, red.scale_length
     if observable == "tau-d":
-        rep = _dec.decoherence_time(state, model, theta=red.theta, cfg=quad, hbar=red.kappa)
+        rep = _dec.decoherence_time(state, model, theta=red.theta, cfg=spec.quad, hbar=red.kappa)
         row = (rep.tau0 * st, rep.tau_d * st, rep.tau_d_eq26 * st, rep.tau0, rep.tau_d, rep.method)
         return [[x] for x in row], True
-    t_s = grid.values()
-    negative = t_s < 0.0
-    if negative.any():
-        raise ValueError(f"grid: negative time {float(t_s[negative.argmax()])!r}")
-    sigma2 = red.scale_length ** 2
+    if observable == "profile":
+        x_red, p = _dec.probability_profile(
+            state, model, spec.time_s / st, red.theta, spec.grid / sigma, cfg=spec.quad, hbar=red.kappa
+        )
+        return [x_red * sigma, x_red, p / sigma, p], True
+    t_s = spec.grid
+    if (t_s < 0.0).any():
+        raise ValueError(f"grid: negative time {float(t_s[t_s < 0.0][0])!r}")
     # overflow to inf and nan are silent, as they are in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         t_red = t_s / st
         s, c, w2, routes = _dyn._moments_grid(
-            model, t_red, state.sigma, red.theta, quad, state.mass, red.kappa,
+            model, t_red, state.sigma, red.theta, spec.quad, state.mass, red.kappa,
             with_s=observable != "commutator", with_c=observable != "msd",
         )
-        if observable == "commutator":
-            return [t_s, t_red, c * sigma2, c], True
-        if observable == "msd":
-            cols = [t_s, t_red, s * sigma2, s, routes]
-        elif observable == "width":
-            cols = [t_s, t_red, w2 * sigma2, w2, routes]
+        if observable == "attenuation":
+            cols = [t_s, t_red, _dec._attenuation(state, s, w2, _dyn._ARRAY.exp)]
         else:
-            cols = [t_s, t_red, _dec._attenuation(state, s, w2, _dyn._ARRAY.exp), routes]
-    return cols, "quadrature_failed" not in routes
+            value = {"msd": s, "commutator": c, "width": w2}[observable]
+            cols = [t_s, t_red, value * sigma ** 2, value]
+    if routes is None:  # commutator: no s, no routes
+        return cols, True
+    return cols + [routes], "quadrature_failed" not in routes
 
 
-def _run_time_command(spec, out):
-    cols, ok = _time_rows(spec.command, spec.grid, *_reduced_setup(spec.raw), spec.quad)
-    _emit(spec, out, _COLUMNS[spec.command], [cols])
-    return 0 if ok else 3
-
-
-def _run_profile(spec, out):
-    red, model, state = _reduced_setup(spec.raw)
-    t_red = spec.time_s / red.scale_time
-    sigma = red.scale_length
-    x_red, p = _dec.probability_profile(
-        state, model, t_red, red.theta, spec.grid.values() / sigma, cfg=spec.quad, hbar=red.kappa
-    )
-    _emit(spec, out, _COLUMNS["profile"], [[x_red * sigma, x_red, p / sigma, p]])
-    return 0
-
-
-def _run_vfun(spec, out):
-    x = spec.grid.values()
-    _emit(spec, out, _COLUMNS["vfun"], [[x, *_v_array(x)]])
-    return 0
-
-
-def _run_sweep(spec, out):
-    ranged = [k for k in _SWEEPABLE if isinstance(spec.raw.get(k), list)]
+def _setups(spec):
+    """Prefix cells and reduced setup of each block: () and the config's, or
+    for a sweep (field, value) and the config's at each value, in sorted
+    order. Every block's parameters are checked before any block runs."""
+    if spec.command != "sweep":
+        return [((), _reduced_setup(spec.raw))]
     listed = [k for k, v in spec.raw.items() if isinstance(v, list)]
-    if len(listed) != len(ranged) or len(ranged) != 1:
+    if len(listed) != 1 or listed[0] not in _SWEEPABLE:
         raise ValueError(
             f"sweep requires exactly one ranged parameter among {_SWEEPABLE}, "
             f"got {listed or 'none'}"
         )
-    name = ranged[0]
-    values = spec.raw[name]
-    if not values or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"field {name!r} must be a non-empty list of numbers")
-    observable = spec.observable
-    if observable not in _SWEEP_OBSERVABLES:
-        raise ValueError(f"unknown sweep observable {observable!r}")
-    if observable != "tau-d" and spec.grid is None:
-        raise ValueError("grid is required for time-observable sweeps")
-    blocks = []
-    ok = True
-    for value in sorted(float(v) for v in values):
-        setup = _reduced_setup({**spec.raw, name: value})
-        cols, value_ok = _time_rows(observable, spec.grid, *setup, spec.quad)
-        n = len(cols[0])
-        blocks.append([[name] * n, [value] * n, *cols])
-        ok = ok and value_ok
-    _emit(spec, out, ("param", "value") + _COLUMNS[observable], blocks)
-    return 0 if ok else 3
-
-
-_RUNNERS = {
-    "msd": _run_time_command,
-    "commutator": _run_time_command,
-    "width": _run_time_command,
-    "attenuation": _run_time_command,
-    "profile": _run_profile,
-    "tau-d": _run_time_command,
-    "vfun": _run_vfun,
-    "sweep": _run_sweep,
-}
-
-_NEEDS_GRID = ("msd", "commutator", "width", "attenuation", "profile", "vfun")
+    name = listed[0]
+    # an empty list is refused as itself
+    values = [_units.number_field(name, v, "a non-empty list of numbers") for v in spec.raw[name] or [[]]]
+    return [((name, v), _reduced_setup({**spec.raw, name: v})) for v in sorted(values)]
 
 
 def run(spec, out):
-    """Execute a validated RunSpec, writing rows to the given text stream."""
-    return _RUNNERS[spec.command](spec, out)
+    """Execute a validated RunSpec, writing its blocks of columns with one
+    _emit; returns the exit code, 3 if a row is quadrature_failed, else 0."""
+    blocks, ok = [], True
+    if spec.command == "vfun":
+        blocks.append([spec.grid, *_v_array(spec.grid)])
+    else:
+        for cells, setup in _setups(spec):
+            cols, block_ok = _block(spec, *setup)
+            blocks.append([[cell] * len(cols[0]) for cell in cells] + cols)
+            ok = ok and block_ok
+    prefix = ("param", "value") if spec.command == "sweep" else ()
+    _emit(spec, out, prefix + _COLUMNS[spec.observable], blocks)
+    return 0 if ok else 3
 
 
 def build_spec(args):
@@ -255,16 +208,17 @@ def build_spec(args):
         raise ValueError(f"output must be 'csv' or 'json', got {output!r}")
     grid_text = args.grid or raw.get("grid")
     grid = _parse_grid(grid_text) if grid_text is not None else None
-    if command in _NEEDS_GRID and grid is None:
-        raise ValueError(f"command {command!r} requires a grid")
-    rel_tol = args.rel_tol if args.rel_tol is not None else raw.get("rel_tol", 1e-9)
-    abs_tol = args.abs_tol if args.abs_tol is not None else raw.get("abs_tol", 1e-14)
-    quad = QuadratureConfig(rel_tol=float(rel_tol), abs_tol=float(abs_tol))
-    time_s = raw.get("time_s", 0.0)
-    if isinstance(time_s, bool) or not isinstance(time_s, (int, float)) or time_s < 0.0:
-        raise ValueError(f"field 'time_s' must be a non-negative number, got {time_s!r}")
-    observable = raw.get("observable", "tau-d")
-    return RunSpec(command, raw, grid, output, quad, float(time_s), str(observable))
+    observable = str(raw.get("observable", "tau-d")) if command == "sweep" else command
+    if command == "sweep" and observable not in _SWEEP_OBSERVABLES:
+        raise ValueError(f"unknown sweep observable {observable!r}")
+    if observable != "tau-d" and grid is None:
+        raise ValueError(f"grid is required for {observable!r}")
+    # flags override config values; the defaults are QuadratureConfig's
+    tols = {k: v for k, v in raw.items() if k in ("rel_tol", "abs_tol")}
+    tols.update({k: v for k, v in (("rel_tol", args.rel_tol), ("abs_tol", args.abs_tol)) if v is not None})
+    quad = QuadratureConfig(**{k: _units.number_field(k, v) for k, v in tols.items()})
+    time_s = _units.number_field("time_s", raw.get("time_s", 0.0), "a non-negative number", low=0.0)
+    return RunSpec(command, raw, grid, output, quad, time_s, observable)
 
 
 # built once: constructing it costs ten times what parsing one argv does,

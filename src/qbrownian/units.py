@@ -108,9 +108,22 @@ def thermal_ratio(temperature_K, gamma):
     """k T / (hbar gamma): below one means the low-temperature regime."""
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    if temperature_K < 0.0:
-        raise ValueError(f"temperature_K must be non-negative, got {temperature_K!r}")
+    if not (0.0 <= temperature_K < math.inf):
+        raise ValueError(f"temperature_K must be non-negative and finite, got {temperature_K!r}")
     return BOLTZMANN * temperature_K / (HBAR * gamma)
+
+
+def number_field(name, value, kind="a finite number", low=-math.inf):
+    """A field's number (not a bool) in [low, inf) as a float, else ValueError
+    naming the field; an integer beyond the float range counts as inf."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if low <= x < math.inf:
+            return x
+    raise ValueError(f"field {name!r} must be {kind}, got {value!r}")
 
 
 def params_from_dict(data, allow_extra=()):
@@ -121,10 +134,7 @@ def params_from_dict(data, allow_extra=()):
     for name in _FIELDS:
         if name not in data:
             raise ValueError(f"missing required field {name!r}")
-        value = data[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"field {name!r} must be a number, got {value!r}")
-        values[name] = float(value)
+        values[name] = number_field(name, data[name])
     unknown = set(data) - set(_FIELDS) - set(allow_extra)
     if unknown:
         raise ValueError(f"unknown field {sorted(unknown)[0]!r}")

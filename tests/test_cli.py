@@ -308,6 +308,70 @@ class TestValidation:
         assert len(doc["rows"]) == 3
 
 
+# JSON texts no numeric field may take: each is refused by name with exit 2
+MALFORMED = {
+    "true": "true",
+    "string": '"1"',
+    "null": "null",
+    "list": "[1]",
+    "object": "{}",
+    "int_400_digits": "1" + "0" * 399,
+    "exponent_overflow": "1e999",
+}
+# field -> (config with the placeholder where the bad value goes, argv)
+NUMERIC_FIELDS = {
+    **{
+        name: (dict(LAB, **{name: "VALUE"}), ["--command", "msd", "--grid", "0,1,3,lin"])
+        for name in (*LAB, "rel_tol", "abs_tol")
+    },
+    "time_s": (dict(LAB, time_s="VALUE"), ["--command", "profile", "--grid=-1e-8,1e-8,5,lin"]),
+    "tau_s_sweep_value": (dict(LAB, tau_s=[1e-3, "VALUE"]), ["--command", "sweep"]),
+}
+# argv values no numeric flag or grid may take: argv, what stderr names
+MALFORMED_ARGV = {
+    "rel_tol_inf": (["--command", "msd", "--grid", "0,1,3,lin", "--rel-tol", "inf"], "field 'rel_tol'"),
+    "abs_tol_nan": (["--command", "msd", "--grid", "0,1,3,lin", "--abs-tol", "nan"], "field 'abs_tol'"),
+    "grid_stop_inf": (["--command", "msd", "--grid", "0,inf,3,lin"], "grid requires start < stop, both finite"),
+    "grid_start_inf": (["--command", "profile", "--grid=-inf,1e-8,3,lin"], "grid requires start < stop, both finite"),
+}
+
+
+@pytest.fixture
+def no_physics(monkeypatch):
+    """Every rejection below must come before the first reduction."""
+
+    def reduce(params):
+        raise AssertionError(f"reduced {params} before rejecting the input")
+
+    monkeypatch.setattr(qbrownian.units, "reduce", reduce)
+
+
+def assert_rejected(proc, name):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert name in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("value", list(MALFORMED))
+    @pytest.mark.parametrize("field", list(NUMERIC_FIELDS))
+    def test_config_field_rejected_by_name(self, tmp_path, capsys, no_physics, field, value):
+        config, args = NUMERIC_FIELDS[field]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"VALUE"', MALFORMED[value]))
+        code = cli.main(["--config", str(path), *args])
+        out, err = capsys.readouterr()
+        name = "tau_s" if field == "tau_s_sweep_value" else field
+        assert_rejected(SimpleNamespace(returncode=code, stdout=out, stderr=err), f"field {name!r}")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ARGV))
+    def test_argv_value_rejected(self, run_cli, no_physics, case):
+        args, name = MALFORMED_ARGV[case]
+        assert_rejected(run_cli(*args, config=dict(LAB, time_s=0.5)), name)
+
+
 class RecordingSink:
     """Text stream that keeps every write separately."""
 

@@ -109,6 +109,10 @@ class TestThermalRatio:
     def test_matches_constants(self):
         assert thermal_ratio(3.0, 7.0) == pytest.approx(BOLTZMANN * 3.0 / (HBAR * 7.0), rel=1e-15)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature_K must be non-negative and finite"):
+            thermal_ratio(float("nan"), 1.0)
+
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError):
             thermal_ratio(1.0, 0.0)
