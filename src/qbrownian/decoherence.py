@@ -72,12 +72,14 @@ def _attenuation(state, s, w2, exp=math.exp):
 def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0):
     """Interference attenuation exp(-s d^2 / (8 sigma^2 w^2)), in (0, 1]."""
     _dyn._check_time(t)
+    _dyn._check_hbar(hbar)
     s, _, w2, _ = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
     return _attenuation(state, s, w2)
 
 
 def tau0(state, model, hbar=1.0):
     """Characteristic decoherence scale (m sigma^2 / d) sqrt(8 pi / (hbar zeta))."""
+    _dyn._check_hbar(hbar)
     return (
         state.mass
         * state.sigma ** 2
@@ -231,6 +233,7 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
     term; time-dependent moments are evaluated once per call.
     """
     _dyn._check_time(t)
+    _dyn._check_hbar(hbar)
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1:
         raise ValueError("x_grid must be one-dimensional")

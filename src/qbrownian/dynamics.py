@@ -46,6 +46,11 @@ def _check_time(t):
         raise ValueError(f"t must be non-negative and finite, got {t!r}")
 
 
+def _check_hbar(hbar):
+    if not (0.0 < hbar < math.inf):
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+
+
 # 4-node Gauss-Legendre rule on [-1, 1] for the divided differences of the
 # two-rate closed forms (McCurdy, Ng & Parlett, Math. Comp. 43, 501 (1984))
 _GL_NODES = (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526)
@@ -174,6 +179,7 @@ def _commutator_closed(t, model, rp, m, hbar, ops):
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
     """Zero-temperature mean-square displacement, closed form."""
     _check_time(t)
+    _check_hbar(hbar)
     return _msd_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
 
 
@@ -184,6 +190,7 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
     at theta = 0 it agrees with the closed form within the error budget.
     """
     _check_time(t)
+    _check_hbar(hbar)
     res = integrate_fluctuation(model, t, theta, "one_minus_cos", cfg=cfg, m=m)
     return scaled(res, 2.0 * hbar / math.pi)
 
@@ -191,6 +198,7 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     """C(t) >= 0 with [x(0), x(t)] = i C(t); temperature independent."""
     _check_time(t)
+    _check_hbar(hbar)
     return _commutator_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
 
 
@@ -269,6 +277,7 @@ def _moments_grid(model, t, sigma, theta, cfg, m, hbar, with_s=True, with_c=True
 def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
     """Single-packet variance sigma^2 + C(t)^2/(4 sigma^2) + s(t)."""
     _check_time(t)
+    _check_hbar(hbar)
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     return _moments(model, t, sigma, theta, cfg, m, hbar, "packet_variance")[2]
@@ -281,6 +290,7 @@ def mean_square_velocity(model, m=1.0, hbar=1.0):
             "mean square velocity is logarithmically divergent for the Ohmic "
             "model; a bath with finite relaxation time (cutoff) is required"
         )
+    _check_hbar(hbar)
     rp = _bath.rates(model, m)
     return (
         hbar
@@ -300,6 +310,7 @@ def msd_short_time(model, t, m=1.0, hbar=1.0):
 def msd_intermediate(model, t, m=1.0, hbar=1.0):
     """Intermediate-time law between the bath time and the friction time."""
     _check_time(t)
+    _check_hbar(hbar)
     if t == 0.0:
         return 0.0
     zt = model.zeta * t / m

@@ -76,8 +76,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("rel_tol and abs_tol must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,10 @@ def _flat_tail(model, w_cut, m):
         u = 0.5 * (p + q)
         dphi = (1.0 / (w_cut * w_cut + u) - math.log1p(u / (w_cut * w_cut)) / u) / (2.0 * u)
         return scale * (-dphi)
+    if q == math.inf:  # the same form divided through by Omega^2, rho = gamma/Omega
+        rho = rp.gamma / rp.Omega
+        phi_q = math.log(math.hypot(1.0, rp.Omega / w_cut)) / rp.Omega / rp.Omega
+        return model.zeta / (m * model.tau * rp.Omega) ** 2 * (phi(p) - phi_q) / (1.0 - rho * rho)
     return scale * (phi(p) - phi(q)) / (q - p)
 
 
@@ -313,10 +319,10 @@ def integrate_fluctuation(
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
-    if theta < 0.0:
-        raise ValueError(f"theta must be non-negative, got {theta!r}")
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"t must be non-negative and finite, got {t!r}")
+    if not (0.0 <= theta < math.inf):
+        raise ValueError(f"theta must be non-negative and finite, got {theta!r}")
     if kernel not in ("one_minus_cos", "sin"):
         raise ValueError(f"unknown kernel {kernel!r}")
     if t == 0.0:

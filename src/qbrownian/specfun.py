@@ -338,8 +338,8 @@ def coth_kernel(omega, theta):
     arr = np.asarray(omega, dtype=float)
     if not np.all(arr > 0.0):
         raise ValueError("omega must be positive")
-    if theta < 0.0:
-        raise ValueError(f"theta must be non-negative, got {theta!r}")
+    if not (0.0 <= theta < math.inf):
+        raise ValueError(f"theta must be non-negative and finite, got {theta!r}")
     if theta == 0.0:
         out = np.ones_like(arr)
         return float(out) if np.isscalar(omega) else out

@@ -74,6 +74,10 @@ class TestMsdZeroT:
         with pytest.raises(ValueError):
             msd_zero_T(SRT01, -0.1)
 
+    def test_negative_hbar_rejected(self):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            msd_zero_T(SRT01, 1.0, hbar=-1.0)
+
 
 class TestMsdFiniteT:
     def test_zero_temperature_agrees_with_closed_form(self):
@@ -87,6 +91,18 @@ class TestMsdFiniteT:
     def test_monotone_in_temperature(self):
         values = [msd_finite_T(SRT01, 1.0, theta).value for theta in (0.0, 0.5, 2.0)]
         assert values[0] <= values[1] <= values[2]
+
+    @pytest.mark.parametrize("theta", [1.0, 2.18e4])
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0])
+    def test_overflowing_fast_rate_matches_ohmic(self, t, theta):
+        # tau_hat = 6e-157: Omega^2 overflows in the flat tail; the bath is
+        # Ohmic to far below the error budget
+        cfg = QuadratureConfig()
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = msd_finite_T(single_relaxation_time(1.0, 6e-157), t, theta, cfg=cfg)
+        ref = msd_finite_T(ohmic(1.0), t, theta, cfg=cfg)
+        assert not res.failed and not ref.failed
+        assert abs(res.value - ref.value) <= cfg.rel_tol * abs(ref.value) + 2.0 / math.pi * cfg.abs_tol
 
     def test_prefactor_scales_with_hbar(self):
         a = msd_finite_T(SRT01, 1.0, 0.3, hbar=1.0)

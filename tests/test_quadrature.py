@@ -31,6 +31,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
 
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            QuadratureConfig(rel_tol=math.inf)
+
 
 class TestFluctuationIntegral:
     def test_zero_time_is_exact_zero(self):
@@ -65,6 +69,15 @@ class TestFluctuationIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             integrate_fluctuation(ohmic(1.0), -1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "t, theta, name",
+        [(1.0, math.nan, "theta"), (1.0, math.inf, "theta"), (math.inf, 1.0, "t"), (math.nan, 1.0, "t")],
+        ids=["theta_nan", "theta_inf", "t_inf", "t_nan"],
+    )
+    def test_non_finite_input_rejected(self, t, theta, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite"):
+            integrate_fluctuation(single_relaxation_time(1.0, 0.1), t, theta)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -217,12 +230,11 @@ class TestFluctuationIntegral:
         assert math.isfinite(res.value)
         assert res.panels_used <= 16
 
-    def test_nan_value_is_flagged(self):
-        # Omega^2 overflows in the flat tail at tau = 6e-157: the value is nan,
-        # which no error budget covers
-        with np.errstate(all="ignore"):
-            res = integrate_fluctuation(single_relaxation_time(1.0, 6e-157), 0.5, 1.0)
-        assert res.failed or math.isfinite(res.value)
+    def test_nan_value_is_flagged(self, monkeypatch):
+        # a nan tail makes a nan value, which no error budget covers
+        monkeypatch.setattr(quadrature, "_flat_tail", lambda model, w_cut, m: math.nan)
+        res = integrate_fluctuation(single_relaxation_time(1.0, 0.1), 0.5, 1.0)
+        assert res.failed and math.isnan(res.value)
 
     def test_budget_fields_nonnegative(self):
         res = integrate_fluctuation(single_relaxation_time(1.0, 0.1), 2.0, 1.0)

@@ -216,6 +216,11 @@ class TestCothKernel:
         theta = 1.0
         assert coth_kernel(1e-12, theta) == pytest.approx(2.0 * theta / 1e-12, rel=1e-8)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be non-negative and finite"):
+            coth_kernel(np.array([1.0, 2.0]), theta)
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
             coth_kernel(0.0, 1.0)
