@@ -3,7 +3,8 @@
 Reads a flat JSON parameter document (SI units, field names exactly as
 PhysicalParams), reduces to internal units, runs one of the observable
 commands over a grid, and emits deterministic CSV or JSON. Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+0 success, 2 validation error, 3 numerical failure (a row outside its
+error budget, a refused tau-d scan, or an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def _parse_grid(text):
         raise ValueError(f"grid requires start < stop, both finite, got {start} and {stop}")
     if scale == "log" and start <= 0.0:
         raise ValueError("log grid requires start > 0")
+    if scale == "lin" and stop - start == math.inf:
+        raise ValueError(f"grid: the span from {start} to {stop} overflows")
     return (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
 
 
@@ -243,7 +246,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_dyn.QuadratureFailure, _dec.BracketScanError) as exc:
+    except (_dyn.QuadratureFailure, _dec.BracketScanError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -170,3 +170,122 @@ def commutator_mp(model, t, m=1.0, hbar=1.0):
     with mpmath.workdps(_DPS + _GUARD_DPS):
         bracket = _closed_form(model, t, m, lambda u: -mpmath.expm1(-u))
         return float(mpmath.mpf(hbar) / mpmath.mpf(model.zeta) * bracket)
+
+
+def _rates_mp(model, m):
+    """The rates at the working precision: (gamma, Omega), or (zeta/m, None) for the Ohmic bath."""
+    zeta, tau, m = (mpmath.mpf(v) for v in (model.zeta, model.tau, m))
+    if model.tau == 0.0:
+        return zeta / m, None
+    omega = (1 + mpmath.sqrt(1 - 4 * zeta * tau / m)) / (2 * tau)
+    return zeta / (m * tau * omega), omega
+
+
+def thermal_excess_mp(model, t, theta, m=1.0, hbar=1.0):
+    """E = (2 hbar/pi) int Im alpha(w) (coth(w/2 theta) - 1)(1 - cos w t) dw, to 30 digits.
+
+    In x = w/theta the integrand is (g(x)/x) (4/expm1(x)) sin^2(u x/2) with
+    u = theta t and g(x) = theta x Im alpha(theta x) = zeta/(m^2 (theta^2 x^2
+    + gamma^2)((tau theta x)^2 + (tau Omega)^2)); sin^2 is written as
+    (u x/2)^2 sinc^2, so the exact small-t limit (u^2/4) int g 4x/expm1 dx
+    is the same integral at sinc = 1. Breakpoints: 0, log-spaced points
+    below the smallest scale, gamma/theta and Omega/theta, every multiple
+    of 1 (theta) and of 2 pi/u (one period of the kernel) up to 80.
+    """
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        zeta, m_, tau, th, t_ = (mpmath.mpf(v) for v in (model.zeta, m, model.tau, theta, t))
+        gamma, omega = _rates_mp(model, m)
+        u = th * t_
+        if omega is None:
+            def g(x):
+                return zeta / (m_ * m_ * ((th * x) ** 2 + gamma ** 2))
+        else:
+            def g(x):
+                return zeta / (m_ * m_ * ((th * x) ** 2 + gamma ** 2) * ((tau * th * x) ** 2 + (tau * omega) ** 2))
+
+        def integrand(x):
+            if not x:
+                return 4 * g(x)
+            return g(x) * 4 * x / mpmath.expm1(x) * mpmath.sinc(u * x / 2) ** 2
+
+        top = 80
+        lo = min(gamma / th, mpmath.mpf(1))
+        points = {mpmath.mpf(0), mpmath.mpf(top)}
+        points.update(lo * mpmath.mpf(10) ** (-k) for k in range(1, 6))
+        points.update(x for x in (gamma / th, (omega / th) if omega is not None else None) if x is not None and x < top)
+        points.update(mpmath.mpf(k) for k in range(1, top))
+        period = 2 * mpmath.pi / u
+        if period < top:
+            points.update(k * period for k in range(1, int(top / period) + 1))
+        edges = sorted(p for p in points if p <= top) + [mpmath.inf]
+    with mpmath.workdps(30):
+        total = mpmath.quad(integrand, edges)
+        return 2 * hbar / mpmath.pi * u * u / 4 * total
+
+
+def _matsubara_mp(model, t, theta, m, hbar):
+    """s_theta from the Matsubara sum of the coth expansion.
+
+    s = hbar K [2 theta g[0, gamma^2, Omega^2] + 4 theta sum_n g[nu_n^2,
+    gamma^2, Omega^2]] with K = zeta/(m tau)^2, g(y) = (1 - e^{-sqrt(y) t})
+    / sqrt(y), nu_n = 2 pi n theta and brackets the divided differences in
+    y; the Ohmic bath's single pole r = zeta/m enters with the first
+    difference and the opposite sign, -hbar (zeta/m^2) [2 theta g[0, r^2]
+    + 4 theta sum_n g[nu_n^2, r^2]]. The sum over n is taken in closed
+    form, not by extrapolation, which misses the turn of the terms at
+    nu_n ~ Omega: each pole p^2 contributes g(p^2) S(p) / prod_q (p^2 - q^2)
+    with S(p) = sum_n 1/(p^2 - nu_n^2) = (pi cot(pi x)/(2x) - 1/(2x^2))
+    /(2 pi theta)^2 at x = p/(2 pi theta), and the nu_n points
+    sum_n (1 - e^{-nu_n t})/(nu_n prod_p (nu_n^2 - p^2)): digammas for the
+    1, a direct sum for the e^{-nu_n t}.
+    """
+    zeta, m_, tau, th, t_ = (mpmath.mpf(v) for v in (model.zeta, m, model.tau, theta, t))
+    gamma, omega = _rates_mp(model, m)
+    rates = [gamma] if omega is None else [gamma, omega]
+    poles = [p * p for p in rates]
+    nu1 = 2 * mpmath.pi * th
+
+    def g(y):
+        return t_ if not y else -mpmath.expm1(-mpmath.sqrt(y) * t_) / mpmath.sqrt(y)
+
+    def dd(ys):
+        if len(ys) == 1:
+            return g(ys[0])
+        return (dd(ys[1:]) - dd(ys[:-1])) / (ys[-1] - ys[0])
+
+    def others(p2):
+        return mpmath.fprod(p2 - q2 for q2 in poles if q2 != p2)
+
+    total = 0
+    for p, p2 in zip(rates, poles):
+        x = p / nu1
+        total += g(p2) * (mpmath.pi * mpmath.cot(mpmath.pi * x) / (2 * x) - 1 / (2 * x * x)) / nu1 ** 2 / others(p2)
+    # sum_n 1/(n prod_p (n^2 - a_p^2)) by partial fractions in n: the residue
+    # 1/prod(-a_p^2) at 0 and 1/(2 a^2 prod_{q != p}(a^2 - a_q^2)) at each +-a
+    a2 = [p2 / nu1 ** 2 for p2 in poles]
+    ones = -mpmath.digamma(1) / mpmath.fprod(-x2 for x2 in a2)
+    for x2 in a2:
+        a = mpmath.sqrt(x2)
+        residue = 1 / (2 * x2 * mpmath.fprod(x2 - y2 for y2 in a2 if y2 != x2))
+        ones -= residue * (mpmath.digamma(1 - a) + mpmath.digamma(1 + a))
+    total += ones / nu1 ** (1 + 2 * len(poles))
+    n = 1
+    while mpmath.exp(-n * nu1 * t_) > mpmath.mpf(10) ** (-_DPS - _GUARD_DPS):
+        nu = n * nu1
+        total -= mpmath.exp(-nu * t_) / (nu * mpmath.fprod(nu * nu - p2 for p2 in poles))
+        n += 1
+    bracket = 2 * th * dd([mpmath.mpf(0)] + poles) + 4 * th * total
+    if omega is None:
+        return -hbar * zeta / (m_ * m_) * bracket
+    return hbar * zeta / (m_ * tau) ** 2 * bracket
+
+
+def msd_finite_T_mp(model, t, theta, m=1.0, hbar=1.0, route=None):
+    """s_theta(t): msd_zero_T_mp plus the thermal excess for theta t <= 10,
+    the Matsubara sum above; route "excess" or "matsubara" forces one."""
+    route = route or ("excess" if theta * t <= 10.0 else "matsubara")
+    if route == "excess":
+        with mpmath.workdps(_DPS + _GUARD_DPS):
+            return float(mpmath.mpf(msd_zero_T_mp(model, t, m, hbar)) + thermal_excess_mp(model, t, theta, m, hbar))
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        return float(_matsubara_mp(model, t, theta, m, hbar))

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -119,7 +120,7 @@ class TestMsd:
         config = dict(LAB, temperature_K=1e-12)
         proc = run_cli("--command", "msd", "--grid", "0.5,1.0,2,lin", config=config)
         assert proc.returncode == 0, proc.stderr
-        assert "quadrature" in proc.stdout
+        assert "thermal_excess" in proc.stdout
 
     def test_determinism(self, run_cli):
         args = ("--command", "msd", "--grid", "1e-6,1e-3,9,log")
@@ -173,7 +174,7 @@ class TestProfileAndWidth:
             config=config,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "quadrature" in proc.stdout
+        assert "thermal_excess" in proc.stdout
 
     def test_bad_tolerance_rejected(self, run_cli):
         proc = run_cli(
@@ -296,6 +297,24 @@ class TestValidation:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["vfun", "profile"])
+    def test_overflowing_grid_span_rejected_without_warning(self, run_cli, command):
+        # both bounds finite, their difference not: linspace would step by inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = run_cli("--command", command, "--grid=-1e308,1e308,3,lin", config=dict(LAB, time_s=0.5))
+        assert_rejected(proc, "grid: the span from -1e+308 to 1e+308 overflows")
+
+    def test_arithmetic_error_exits_3_without_traceback(self, run_cli, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(qbrownian.decoherence, "decoherence_time", overflowing)
+        proc = run_cli("--command", "tau-d", config=BE9)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "numerical failure: math range error\n"
 
     def test_json_output_shape(self, run_cli):
         proc = run_cli(

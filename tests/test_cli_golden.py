@@ -3,7 +3,7 @@
 tests/data/cli_golden.json holds the expected exit code and stdout of each
 case, keyed by case name; a change to any of those bytes is a change of the
 CLI contract. The cases cover zero and finite temperature, every sweep
-observable, a run that ends in a ``quadrature_failed`` row (exit 3) and
+observable, a run whose rows are ``quadrature_failed`` (exit 3) and
 runs rejected with exit 2, whose stderr text is pinned as well. All cases
 run as one sequence of in-process ``cli.main`` calls, with a rejected argv
 in the middle, so state kept between calls (such as the shared argument
@@ -74,10 +74,10 @@ CASES = {
     "msd_warm_csv": (LAB_WARM, ["--command", "msd", "--grid", "0,1,4,lin"]),
     "width_warm_json": (LAB_WARM, ["--command", "width", "--grid", "1e-2,10,4,log", "--output", "json"]),
     "attenuation_warm_csv": (LAB_WARM, ["--command", "attenuation", "--grid", "0,1e-2,5,lin"]),
-    # the last row's quadrature misses its budget: flagged, exit 3
+    # a budget no finite-T route can meet: every row flagged, exit 3
     "width_failed_csv": (
         dict(BE9, temperature_K=1e-3),
-        ["--command", "width", "--grid", "1e-3,0.16666666666666669,3,log"],
+        ["--command", "width", "--grid", "1e-3,0.16666666666666669,3,log", "--rel-tol", "1e-20", "--abs-tol", "1e-300"],
     ),
     # 1 - 4 zeta tau / m = 1e-8, (Omega - gamma)/(Omega + gamma) = 1e-4: the
     # divided-difference form next to the rate degeneracy

@@ -40,9 +40,10 @@ def test_exported_names():
     assert len(PUBLIC) == 40
 
 
-# cli has held no v_function since T = 0 grids became arrays; the tracer
-# skips a binding that is missing, so that entry counts nothing
-UNTRACED = {("qbrownian.cli", "v_function")}
+# cli has held no v_function since T = 0 grids became arrays, nor dynamics
+# integrate_fluctuation since finite-T s left the quadrature; the tracer
+# skips a binding that is missing, so those entries count nothing
+UNTRACED = {("qbrownian.cli", "v_function"), ("qbrownian.dynamics", "integrate_fluctuation")}
 
 
 def test_traced_names_resolve():
