@@ -77,7 +77,7 @@ def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0, *, thermal
     """
     _dyn._check_time(t)
     _dyn._check_hbar(hbar)
-    s, _, w2, _ = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation", thermal)
+    s, _, w2 = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation", thermal)
     return _attenuation(state, s, w2)
 
 
@@ -245,7 +245,7 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
         raise ValueError("x_grid must be one-dimensional")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be finite")
-    s, c, w2, _ = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
+    s, c, w2 = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
     sigma2 = state.sigma * state.sigma
     d = state.d
     norm = 2.0 * (1.0 + math.exp(-d * d / (8.0 * sigma2)))

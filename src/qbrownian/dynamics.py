@@ -392,10 +392,10 @@ class _Thermal:
     @cached_property
     def _constant(self):
         """The constant of the series, and its error: the rule's at t1 = 1/theta."""
-        t1 = np.array([1.0 / self.theta])
-        e, est = self.excess(t1)
-        s1 = _msd_closed(t1, self.model, self.rp, self.m, self.hbar, _ARRAY) + e
-        return float((s1 - self._series_part(t1))[0]), float(est[0]) + self.rule_tail
+        t1 = 1.0 / self.theta
+        e, est = self.excess(np.array([t1]))
+        s1 = _msd_closed(t1, self.model, self.rp, self.m, self.hbar, _SCALAR) + e
+        return float((s1 - self._series_part(np.array([t1])))[0]), float(est[0]) + self.rule_tail
 
     def _series_tail(self, t):
         """A bound on the terms past _MATSUBARA_TERMS: off its resonance, where
@@ -407,8 +407,13 @@ class _Thermal:
         return (self.hbar / self.m) * weight * 4.0 / (math.pi * nu * nu) * np.exp(-nu * t) / -np.expm1(-nu1 * t)
 
     def rows(self, t, s0):
-        """s, est_error, tail_bound and the series flag at each time t >= 0 of
-        an array; s0(times) is s_0 at the times with 0 < theta t < 1."""
+        """s, est_error, tail_bound and the route code at each time t >= 0 of
+        an array; s0(times) is s_0 at the times with 0 < theta t < 1.
+
+        The codes index _ROUTES: 0 closed_form at t = 0, 1 thermal_excess,
+        2 matsubara, 3 quadrature_failed where est_error + tail_bound exceeds
+        rel_tol |s| + (2 hbar/pi) abs_tol (nan fails).
+        """
         s = np.zeros_like(t)
         est = np.zeros_like(t)
         tail = np.zeros_like(t)
@@ -429,12 +434,18 @@ class _Thermal:
             s[series] = part + const
             est[series] = const_err + 4.0 * _EPS * (np.abs(part) + abs(const))
             tail[series] = self._series_tail(ts)
-        return s, est, tail, series
-
-    def failed(self, s, est, tail):
-        """Whether est_error + tail_bound exceeds rel_tol |s| + (2 hbar/pi) abs_tol (nan fails)."""
+        route = (t > 0.0).astype(np.intp) + series
         budget = self.cfg.rel_tol * np.abs(s) + (2.0 * self.hbar / math.pi) * self.cfg.abs_tol
-        return ~(est + tail <= budget)
+        route[~(est + tail <= budget)] = 3
+        return s, est, tail, route
+
+    def point(self, t):
+        """The QuadratureResult of s_theta at one time t >= 0; s_0 is the
+        float closed form."""
+        s, est, tail, route = self.rows(
+            np.array([t]), lambda _: _msd_closed(t, self.model, self.rp, self.m, self.hbar, _SCALAR)
+        )
+        return QuadratureResult(float(s[0]), float(est[0]), 0, float(tail[0]), bool(route[0] == 3))
 
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
@@ -459,7 +470,7 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
     rp = _rates(model, m)
     if theta == 0.0:
         return QuadratureResult(_msd_closed(t, model, rp, m, hbar, _SCALAR), 0.0, 0, 0.0)
-    return _finite_result(_Thermal(model, rp, theta, cfg, m, hbar), t)[0]
+    return _Thermal(model, rp, theta, cfg, m, hbar).point(t)
 
 
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
@@ -469,51 +480,26 @@ def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     return _commutator_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
 
 
-def _finite_result(thermal, t):
-    """The QuadratureResult of s_theta at one time t >= 0 and its route,
-    thermal_excess or matsubara; s_0 is the float closed form."""
-    s, est, tail, series = thermal.rows(
-        np.array([t]), lambda _: _msd_closed(t, thermal.model, thermal.rp, thermal.m, thermal.hbar, _SCALAR)
-    )
-    failed = bool(thermal.failed(s, est, tail)[0])
-    route = "matsubara" if series[0] else "thermal_excess"
-    return QuadratureResult(float(s[0]), float(est[0]), 0, float(tail[0]), failed), route
-
-
-def _msd(model, rp, t, thermal, m, hbar, context=None):
-    """s(t) and its route: closed_form, thermal_excess, matsubara or
-    quadrature_failed; thermal is None at T = 0.
-
-    With a context, a row outside its error budget raises QuadratureFailure
-    instead of returning its value under the quadrature_failed route.
-    """
-    if t == 0.0:
-        return 0.0, "closed_form"
-    if thermal is None:
-        return _msd_closed(t, model, rp, m, hbar, _SCALAR), "closed_form"
-    res, route = _finite_result(thermal, t)
-    if not res.failed:
-        return res.value, route
-    if context is not None:
-        raise QuadratureFailure(res, context)
-    return res.value, "quadrature_failed"
-
-
-def _moments(model, t, sigma, theta, cfg, m, hbar, context=None, thermal=None):
-    """s, C, w^2 = sigma^2 + C^2/(4 sigma^2) + s and the route of s.
+def _moments(model, t, sigma, theta, cfg, m, hbar, context, thermal=None):
+    """s, C and w^2 = sigma^2 + C^2/(4 sigma^2) + s.
 
     The squared commutator enters with a positive sign because the
     commutator itself is purely imaginary. thermal is the caller's _Thermal
     of these arguments, built once for many times; else one is built here.
+    An s outside its error budget raises QuadratureFailure for context.
     """
     _check_time(t)
     rp = _rates(model, m)
-    if thermal is None and theta != 0.0 and t != 0.0:
-        thermal = _Thermal(model, rp, theta, cfg, m, hbar)
-    s, route = _msd(model, rp, t, thermal, m, hbar, context)
+    if theta == 0.0 or t == 0.0:
+        s = _msd_closed(t, model, rp, m, hbar, _SCALAR)
+    else:
+        res = (thermal or _Thermal(model, rp, theta, cfg, m, hbar)).point(t)
+        if res.failed:
+            raise QuadratureFailure(res, context)
+        s = res.value
     c = _commutator_closed(t, model, rp, m, hbar, _SCALAR)
     half = c / (2.0 * sigma)
-    return s, c, sigma * sigma + half * half + s, route
+    return s, c, sigma * sigma + half * half + s
 
 
 def _grid(f, t):
@@ -553,9 +539,7 @@ def _moments_grid(model, t, sigma, theta, cfg, m, hbar, with_s=True, with_c=True
         routes = ["closed_form"] * t.size
     elif with_s:
         thermal = _Thermal(model, rp, theta, cfg, m, hbar)
-        s, est, tail, series = _grid(lambda x: thermal.rows(x, closed), t)
-        route = (t > 0.0).astype(np.intp) + series
-        route[thermal.failed(s, est, tail)] = 3
+        s, _, _, route = _grid(lambda x: thermal.rows(x, closed), t)
         routes = _ROUTES[route].tolist()
     if with_c:
         c = _grid(lambda x: _commutator_closed(x, model, rp, m, hbar, _ARRAY), t)

@@ -13,7 +13,7 @@ combined with compensated summation, so concurrent panel evaluation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -372,12 +372,3 @@ def integrate_fluctuation(
         budget_scale = max(abs(value), budget_scale * 1e-3)
     return QuadratureResult(value, est, panels, tail_bound, failed)
 
-
-def scaled(result, factor):
-    """Result with value and error budget multiplied by a constant."""
-    return replace(
-        result,
-        value=factor * result.value,
-        est_error=abs(factor) * result.est_error,
-        tail_bound=abs(factor) * result.tail_bound,
-    )

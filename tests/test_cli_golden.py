@@ -87,6 +87,9 @@ CASES = {
         LAB_NEAR,
         ["--command", "width", "--grid", "1e-9,1e4,8,log", "--output", "json"],
     ),
+    # the root find next to the rate degeneracy, at T = 0 and T > 0
+    "tau_d_near_degenerate_csv": (LAB_NEAR, ["--command", "tau-d"]),
+    "tau_d_near_degenerate_warm_csv": (dict(LAB_NEAR, temperature_K=1e-12), ["--command", "tau-d"]),
     # 1 - 4 zeta tau / m = 1e-14: rates equal to within 1e-7
     "width_degenerate_csv": (dict(LAB, tau_s=0.25 * (1.0 - 1e-14)), ["--command", "width", "--grid", "0,1e3,9,lin"]),
     "attenuation_ohmic_csv": (dict(LAB, tau_s=0.0), ["--command", "attenuation", "--grid", "0,2e-2,9,lin"]),

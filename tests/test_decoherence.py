@@ -222,6 +222,17 @@ class TestDecoherenceTime:
         below = attenuation_exact(state, model, rep.tau_d * (1.0 - 2e-10), hbar=red.kappa)
         assert attenuation_exact(state, model, rep.tau_d, hbar=red.kappa) <= math.exp(-1.0) < below
 
+    @pytest.mark.parametrize("temperature_K", [0.0, 1e-12])
+    def test_near_degenerate_root(self, temperature_K):
+        # the CLI's LAB_NEAR bath, 1 - 4 zeta tau / m = 1e-8: the closed forms
+        # and the series take their divided-difference forms at every evaluation
+        red = reduce(PhysicalParams(1.054571817e-16, 1.054571817e-16, 0.25 * (1.0 - 1e-8), 1e-9, 1e-6, temperature_K))
+        model = BathModel(1.0, red.tau_hat)
+        state = CatState(1.0, red.d_hat)
+        rep = decoherence_time(state, model, theta=red.theta, hbar=red.kappa)
+        a = attenuation_exact(state, model, rep.tau_d, theta=red.theta, hbar=red.kappa)
+        assert abs(a - math.exp(-1.0)) <= 1e-8
+
     def test_finite_temperature_root(self):
         state = CatState(1.0, 1000.0)
         model = single_relaxation_time(1.0, 0.01)
