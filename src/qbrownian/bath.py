@@ -59,8 +59,8 @@ def rates(model, m=1.0):
     """Rate pair of the exponential-memory bath.
 
     The slow root is taken from the product identity gamma = zeta/(m tau
-    Omega) when 4 zeta tau / m < 1e-3, where the textbook subtractive form
-    loses precision.
+    Omega): the textbook (1 - sqrt(1 - 4 zeta tau/m))/(2 tau) subtracts
+    two close numbers at every ratio below 1.
     """
     if model.tau == 0.0:
         raise ValueError("rates are defined only for the single-relaxation-time model")
@@ -71,10 +71,5 @@ def rates(model, m=1.0):
         raise UnderdampedBathError(
             f"underdamped bath not supported: 4*zeta*tau/m = {ratio:.6g} >= 1"
         )
-    sq = math.sqrt(disc)
-    omega_fast = (1.0 + sq) / (2.0 * tau)
-    if ratio < 1e-3:
-        gamma_slow = zeta / (m * tau * omega_fast)
-    else:
-        gamma_slow = (1.0 - sq) / (2.0 * tau)
-    return RatePair(omega_fast, gamma_slow)
+    omega_fast = (1.0 + math.sqrt(disc)) / (2.0 * tau)
+    return RatePair(omega_fast, zeta / (m * tau * omega_fast))

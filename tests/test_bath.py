@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from qbrownian.bath import (
 )
 from qbrownian.quadrature import _imalpha_derivs, _make_integrand
 from conftest import gk_integrate
-from oracles import mu_tilde
+from oracles import _rates_mp, mu_tilde
 
 
 def response_im(model, omega, m=1.0):
@@ -140,6 +141,23 @@ class TestRates:
             assert product == pytest.approx(subtractive, rel=1e-12)
             rp = rates(single_relaxation_time(1.0, tau))
             assert rp.gamma == pytest.approx(product, rel=1e-12)
+
+    def test_rates_match_60_digits(self, rng):
+        # tau_hat over (0, 1/4): log-uniform from 1e-300, uniform from 4e-4,
+        # and gaps 1 - 4 tau_hat from 1e-16; 4 tau_hat is exact, so each
+        # float tau_hat has exact rates
+        taus = np.concatenate((
+            np.exp(rng.uniform(math.log(1e-300), math.log(0.25), 400)),
+            rng.uniform(4e-4, 0.25, 400),
+            0.25 * (1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.1), 200))),
+        ))
+        with mpmath.workdps(60):
+            for tau in taus.tolist():
+                model = single_relaxation_time(1.0, tau)
+                rp = rates(model)
+                gamma, omega = _rates_mp(model, 1.0)
+                assert abs(rp.gamma / gamma - 1) <= 1e-15, tau
+                assert abs(rp.Omega / omega - 1) <= 1e-15, tau
 
     def test_boundary_rejected(self):
         with pytest.raises(UnderdampedBathError, match="underdamped bath not supported"):
