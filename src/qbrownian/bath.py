@@ -59,8 +59,8 @@ def rates(model, m=1.0):
     """Rate pair of the exponential-memory bath.
 
     The slow root is taken from the product identity gamma = zeta/(m tau
-    Omega): the textbook (1 - sqrt(1 - 4 zeta tau/m))/(2 tau) subtracts
-    two close numbers at every ratio below 1.
+    Omega): the textbook (1 - sqrt(1 - 4 zeta tau/m))/(2 tau) cancels as
+    4 zeta tau/m falls, and is up to 8e-14 off already near 1e-3.
     """
     if model.tau == 0.0:
         raise ValueError("rates are defined only for the single-relaxation-time model")

@@ -392,10 +392,10 @@ class _Thermal:
     @cached_property
     def _constant(self):
         """The constant of the series, and its error: the rule's at t1 = 1/theta."""
-        t1 = 1.0 / self.theta
-        e, est = self.excess(np.array([t1]))
-        s1 = _msd_closed(t1, self.model, self.rp, self.m, self.hbar, _SCALAR) + e
-        return float((s1 - self._series_part(np.array([t1])))[0]), float(est[0]) + self.rule_tail
+        t1 = np.array([1.0 / self.theta])
+        e, est = self.excess(t1)
+        s1 = _msd_closed(1.0 / self.theta, self.model, self.rp, self.m, self.hbar, _SCALAR) + e
+        return float((s1 - self._series_part(t1))[0]), float(est[0]) + self.rule_tail
 
     def _series_tail(self, t):
         """A bound on the terms past _MATSUBARA_TERMS: off its resonance, where

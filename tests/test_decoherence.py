@@ -225,7 +225,7 @@ class TestDecoherenceTime:
     @pytest.mark.parametrize("temperature_K", [0.0, 1e-12])
     def test_near_degenerate_root(self, temperature_K):
         # the CLI's LAB_NEAR bath, 1 - 4 zeta tau / m = 1e-8: the closed forms
-        # and the series take their divided-difference forms at every evaluation
+        # take their divided-difference form at every evaluation
         red = reduce(PhysicalParams(1.054571817e-16, 1.054571817e-16, 0.25 * (1.0 - 1e-8), 1e-9, 1e-6, temperature_K))
         model = BathModel(1.0, red.tau_hat)
         state = CatState(1.0, red.d_hat)
