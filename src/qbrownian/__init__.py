@@ -1,9 +1,9 @@
 """Decoherence observables for a free quantum Brownian particle.
 
-Closed forms and quadratures for the mean-square displacement, commutator,
-wave-packet width, interference attenuation, decoherence times, and full
-cat-state probability profiles, for Ohmic and exponential-memory baths at
-zero and finite temperature.
+The mean-square displacement, commutator, wave-packet width, interference
+attenuation, decoherence times and full cat-state probability profiles,
+for Ohmic and exponential-memory baths: closed forms at zero temperature,
+and at finite temperature a fixed rule and the Matsubara series.
 """
 
 from .bath import (

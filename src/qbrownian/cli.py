@@ -141,9 +141,9 @@ def _block(spec, red, model, state):
     # overflow to inf and nan are silent, as they are in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         t_red = t_s / st
+        bath = _dyn._Bath(model, red.theta, spec.quad, state.mass, red.kappa)
         s, c, w2, routes = _dyn._moments_grid(
-            model, t_red, state.sigma, red.theta, spec.quad, state.mass, red.kappa,
-            with_s=observable != "commutator", with_c=observable != "msd",
+            bath, t_red, state.sigma, with_s=observable != "commutator", with_c=observable != "msd"
         )
         if observable == "attenuation":
             cols = [t_s, t_red, _dec._attenuation(state, s, w2, _dyn._ARRAY.exp)]

@@ -69,15 +69,16 @@ def _attenuation(state, s, w2, exp=math.exp):
     return exp(-s * state.d ** 2 / (8.0 * state.sigma ** 2 * w2))
 
 
-def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0, *, thermal=None):
+def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0, *, bath=None):
     """Interference attenuation exp(-s d^2 / (8 sigma^2 w^2)), in (0, 1].
 
-    thermal is the finite-temperature context of these arguments that
-    decoherence_time builds once for all the evaluations of one solve.
+    bath is the dynamics._Bath of these arguments that decoherence_time
+    builds once for all the evaluations of one solve; else one is built here.
     """
     _dyn._check_time(t)
     _dyn._check_hbar(hbar)
-    s, _, w2 = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation", thermal)
+    bath = bath or _dyn._Bath(model, theta, cfg, state.mass, hbar)
+    s, _, w2 = _dyn._moments(bath, t, state.sigma, "attenuation")
     return _attenuation(state, s, w2)
 
 
@@ -191,13 +192,13 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
     t0 = tau0(state, model, hbar=hbar)
     target = math.exp(-1.0)
     n_evals = 0
-    # one finite-temperature context for every evaluation of the solve
-    thermal = None if theta == 0.0 else _dyn._Thermal(model, _dyn._rates(model, state.mass), theta, cfg, state.mass, hbar)
+    # one bath context for every evaluation of the solve
+    bath = _dyn._Bath(model, theta, cfg, state.mass, hbar)
 
     def gap(t):
         nonlocal n_evals
         n_evals += 1
-        return attenuation_exact(state, model, t, theta=theta, cfg=cfg, hbar=hbar, thermal=thermal) - target
+        return attenuation_exact(state, model, t, theta=theta, cfg=cfg, hbar=hbar, bath=bath) - target
 
     t_cap = 1e6 * state.mass / model.zeta
     capped = f"attenuation stays above 1/e up to the scan cap {t_cap!r}"
@@ -245,7 +246,7 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
         raise ValueError("x_grid must be one-dimensional")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be finite")
-    s, c, w2 = _dyn._moments(model, t, state.sigma, theta, cfg, state.mass, hbar, "attenuation")
+    s, c, w2 = _dyn._moments(_dyn._Bath(model, theta, cfg, state.mass, hbar), t, state.sigma, "attenuation")
     sigma2 = state.sigma * state.sigma
     d = state.d
     norm = 2.0 * (1.0 + math.exp(-d * d / (8.0 * sigma2)))

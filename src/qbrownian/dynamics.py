@@ -5,6 +5,10 @@ convention [x(0), x(t)] = i C(t), the wave-packet variance, the
 mean-square velocity, and the short/intermediate-time limiting laws.
 All quantities are real; default arguments m = hbar = 1 correspond to
 the reduced units used internally by the CLI.
+
+Each call (a grid, a tau-d solve, a single time) builds one _Bath of its
+arguments: it holds the rate pair and is the one place that picks the
+route of s at each time.
 """
 
 from __future__ import annotations
@@ -128,54 +132,6 @@ class _ArrayOps:
 # the same order give the same bits for a float and for each array element
 _SCALAR = _ScalarOps()
 _ARRAY = _ArrayOps()
-
-
-def _rates(model, m):
-    """Rate pair of the memory bath; None for the Ohmic bath."""
-    return None if model.tau == 0.0 else _bath.rates(model, m)
-
-
-def _near(rp):
-    """Whether the rate pair takes the divided-difference form."""
-    return rp.Omega - rp.gamma < _NEAR_RATES * (rp.Omega + rp.gamma)
-
-
-def _closed(pref, f, df, model, rp, t, m, ops):
-    """pref f(zeta t/m) for the Ohmic bath; for the memory bath pref times
-    (Omega^2 f(gamma t) - gamma^2 f(Omega t)) / (Omega^2 - gamma^2).
-
-    For close rates that is f(x) - x (x/(x+y)) f[x, y] with x = gamma t and
-    y = Omega t, and the divided difference f[x, y], the mean of df = f'
-    over [x, y], is a Gauss-Legendre rule: nothing subtracts two close values.
-    """
-    if rp is None:
-        return pref * f(model.zeta * t / m)
-    if _near(rp):
-        both = rp.Omega + rp.gamma
-        c, h = 0.5 * both * t, 0.5 * (rp.Omega - rp.gamma) * t
-        total = 0.0
-        for w, d in zip(_GL_WEIGHTS, ops.batch(df, *(c + h * xi for xi in _GL_NODES))):
-            total = total + w * d
-        x = rp.gamma * t
-        return pref * (f(x) - x * (rp.gamma / both) * (0.5 * total))
-    o2 = rp.Omega * rp.Omega
-    g2 = rp.gamma * rp.gamma
-    f_slow, f_fast = ops.batch(f, rp.gamma * t, rp.Omega * t)
-    if o2 == math.inf:  # the same bracket divided through by Omega^2
-        rho = rp.gamma / rp.Omega
-        return pref * (f_slow - rho * rho * f_fast) / (1.0 - rho * rho)
-    return pref * (o2 * f_slow - g2 * f_fast) / (o2 - g2)
-
-
-def _msd_closed(t, model, rp, m, hbar, ops):
-    """Zero-temperature s, +0.0 at t = 0; rp is _rates(model, m)."""
-    return _closed(2.0 * hbar / (math.pi * model.zeta), ops.v, ops.v_prime, model, rp, t, m, ops)
-
-
-def _commutator_closed(t, model, rp, m, hbar, ops):
-    """C, +0.0 at t = 0; rp is _rates(model, m)."""
-    # 1 - e^-u as 0 - expm1(-u): the same bits, and +0.0 at u = -0.0 too
-    return _closed(hbar / model.zeta, lambda u: 0.0 - ops.expm1(-u), lambda u: ops.exp(-u), model, rp, t, m, ops)
 
 
 # Finite temperature: s_theta = s_0 + E(t) below theta t = 1, where the
@@ -305,23 +261,65 @@ def _pole(a, t, theta):
     return z
 
 
-class _Thermal:
-    """s_theta of one bath at one temperature theta > 0, for times t > 0.
+class _Bath:
+    """One bath at one temperature theta >= 0: the rate pair (None for the
+    Ohmic bath), s_0 and C at a float or an array of times, and s by the
+    route that rows and point pick. At theta > 0 the rule and the constant
+    that matches the series to it at t1 = 1/theta are built on first use."""
 
-    Built once per call (a grid, a tau-d solve) and dropped with it: the
-    rule's nodes and weights, and on first use the constant that matches
-    the series to the rule at t1 = 1/theta.
-    """
-
-    def __init__(self, model, rp, theta, cfg, m, hbar):
-        if not (0.0 < theta < math.inf):
+    def __init__(self, model, theta, cfg, m, hbar):
+        if not (0.0 <= theta < math.inf):
             raise ValueError(f"theta must be non-negative and finite, got {theta!r}")
-        self.model, self.rp, self.theta, self.m, self.hbar = model, rp, theta, m, hbar
+        self.model, self.theta, self.m, self.hbar = model, theta, m, hbar
         self.cfg = QuadratureConfig() if cfg is None else cfg
+        rp = self.rp = None if model.tau == 0.0 else _bath.rates(model, m)
+        # whether the closed forms and the series take the divided-difference form
+        self.near = rp is not None and rp.Omega - rp.gamma < _NEAR_RATES * (rp.Omega + rp.gamma)
+        # the slow and the fast rate; the Ohmic bath's one rate zeta/m twice
+        self.slow, self.fast = (model.zeta / m,) * 2 if rp is None else (rp.gamma, rp.Omega)
+
+    def _closed(self, pref, f, df, t, ops):
+        """pref f(zeta t/m) for the Ohmic bath; for the memory bath pref times
+        (Omega^2 f(gamma t) - gamma^2 f(Omega t)) / (Omega^2 - gamma^2).
+
+        For close rates that is f(x) - x (x/(x+y)) f[x, y] with x = gamma t and
+        y = Omega t, and the divided difference f[x, y], the mean of df = f'
+        over [x, y], is a Gauss-Legendre rule: nothing subtracts two close values.
+        """
+        rp = self.rp
         if rp is None:
-            slow = fast = model.zeta / m
-        else:
-            slow, fast = rp.gamma, rp.Omega
+            return pref * f(self.model.zeta * t / self.m)
+        if self.near:
+            both = rp.Omega + rp.gamma
+            c, h = 0.5 * both * t, 0.5 * (rp.Omega - rp.gamma) * t
+            total = 0.0
+            for w, d in zip(_GL_WEIGHTS, ops.batch(df, *(c + h * xi for xi in _GL_NODES))):
+                total = total + w * d
+            x = rp.gamma * t
+            return pref * (f(x) - x * (rp.gamma / both) * (0.5 * total))
+        o2 = rp.Omega * rp.Omega
+        g2 = rp.gamma * rp.gamma
+        f_slow, f_fast = ops.batch(f, rp.gamma * t, rp.Omega * t)
+        if o2 == math.inf:  # the same bracket divided through by Omega^2
+            rho = rp.gamma / rp.Omega
+            return pref * (f_slow - rho * rho * f_fast) / (1.0 - rho * rho)
+        return pref * (o2 * f_slow - g2 * f_fast) / (o2 - g2)
+
+    def s0(self, t):
+        """Zero-temperature s at a float or an array of times, +0.0 at t = 0."""
+        ops = _ARRAY if isinstance(t, np.ndarray) else _SCALAR
+        return self._closed(2.0 * self.hbar / (math.pi * self.model.zeta), ops.v, ops.v_prime, t, ops)
+
+    def c(self, t):
+        """C at a float or an array of times, +0.0 at t = 0."""
+        ops = _ARRAY if isinstance(t, np.ndarray) else _SCALAR
+        # 1 - e^-u as 0 - expm1(-u): the same bits, and +0.0 at u = -0.0 too
+        return self._closed(self.hbar / self.model.zeta, lambda u: 0.0 - ops.expm1(-u), lambda u: ops.exp(-u), t, ops)
+
+    @cached_property
+    def _rule(self):
+        """The thermal excess rule: nodes x, weights W_k and W_k - W_g, and a bound on E above the cutoff."""
+        theta, slow, fast = self.theta, self.slow, self.fast
         top = _RULE_TOP
         lo = max(1e-8 * min(slow / theta, 1.0), 1e-300)
         parts = [
@@ -338,20 +336,18 @@ class _Thermal:
         # the integrand in x, (g(x)/x) (4/expm1(x)), with
         # g(x) = theta x Im alpha(theta x): no power of x can overflow
         f = self._g(x) * 4.0 / (x * np.expm1(x))
-        scale = 2.0 * hbar / math.pi
-        self.x = x.ravel()
-        self.w_k = (scale * half[:, None] * _W_K * f).ravel()
-        self.w_kg = (scale * half[:, None] * (_W_K - _W_G) * f).ravel()
+        scale = 2.0 * self.hbar / math.pi
+        w_k = (scale * half[:, None] * _W_K * f).ravel()
+        w_kg = (scale * half[:, None] * (_W_K - _W_G) * f).ravel()
         # the part of E above the cutoff, at most (g(top)/top) (4/(1 - e^-top))
         # int_top^inf e^-x min(1, (u x/2)^2) dx at u = theta t: g decreases
-        self.rule_tail = scale * self._g(top) * 4.0 / top * math.exp(-top) / -math.expm1(-top)
+        return x.ravel(), w_k, w_kg, scale * self._g(top) * 4.0 / top * math.exp(-top) / -math.expm1(-top)
 
     def _g(self, x):
         """theta x Im alpha(theta x) = zeta/(m^2 ((theta x)^2 + gamma^2)((tau theta x)^2 + (tau Omega)^2))."""
         model, m, w = self.model, self.m, self.theta * x
         if self.rp is None:
-            r = model.zeta / m
-            return model.zeta / (m * m * (w * w + r * r))
+            return model.zeta / (m * m * (w * w + self.slow * self.slow))
         tw, to = model.tau * w, model.tau * self.rp.Omega
         return model.zeta / (m * m * (w * w + self.rp.gamma ** 2) * (tw * tw + to * to))
 
@@ -361,25 +357,25 @@ class _Thermal:
         E = sum_k W_k sin^2(theta x_k t/2), block by block: each row's sum
         is the same whatever the block it falls in.
         """
+        x, w_k, w_kg, _ = self._rule
         e = np.empty_like(t)
         est = np.empty_like(t)
-        step = max(1, _RULE_BLOCK_BYTES // (16 * self.x.size))
+        step = max(1, _RULE_BLOCK_BYTES // (16 * x.size))
         for lo in range(0, t.size, step):
-            k = np.sin(np.multiply.outer(0.5 * self.theta * t[lo:lo + step], self.x))
+            k = np.sin(np.multiply.outer(0.5 * self.theta * t[lo:lo + step], x))
             k *= k
-            e[lo:lo + step] = np.einsum("ij,j->i", k, self.w_k)
-            k *= self.w_kg
+            e[lo:lo + step] = np.einsum("ij,j->i", k, w_k)
+            k *= w_kg
             est[lo:lo + step] = np.abs(k.reshape(k.shape[0], -1, 15).sum(axis=2)).sum(axis=1)
         return e, est
 
     def _series_part(self, t):
         """s_theta(t) less its t-independent constant, at times theta t >= 1."""
-        model, rp, theta = self.model, self.rp, self.theta
+        rp, theta = self.rp, self.theta
         pref = self.hbar / self.m
         if rp is None:
-            r = model.zeta / self.m
-            return -pref * r * _pole(r, t, theta)
-        if _near(rp):
+            return -pref * self.slow * _pole(self.slow, t, theta)
+        if self.near:
             # (Z_Omega - Z_gamma)/(Omega - gamma) as the Gauss-Legendre mean of
             # Z' over [gamma, Omega], each Z' by a complex step
             c, h = 0.5 * (rp.Omega + rp.gamma), 0.5 * (rp.Omega - rp.gamma)
@@ -394,26 +390,30 @@ class _Thermal:
         """The constant of the series, and its error: the rule's at t1 = 1/theta."""
         t1 = np.array([1.0 / self.theta])
         e, est = self.excess(t1)
-        s1 = _msd_closed(1.0 / self.theta, self.model, self.rp, self.m, self.hbar, _SCALAR) + e
-        return float((s1 - self._series_part(t1))[0]), float(est[0]) + self.rule_tail
+        s1 = self.s0(1.0 / self.theta) + e
+        return float((s1 - self._series_part(t1))[0]), float(est[0]) + self._rule[3]
 
     def _series_tail(self, t):
         """A bound on the terms past _MATSUBARA_TERMS: off its resonance, where
         |a - nu_n| >= pi theta, a pole's n-th term is at most
         4 e^{-nu_n t}/(pi nu_n^2) times its weight; summed as a geometric series."""
         rp, nu1 = self.rp, 2.0 * math.pi * self.theta
-        weight = self.model.zeta / self.m if rp is None else 2.0 * rp.gamma * rp.Omega / (rp.Omega - rp.gamma)
+        weight = self.slow if rp is None else 2.0 * rp.gamma * rp.Omega / (rp.Omega - rp.gamma)
         nu = (_MATSUBARA_TERMS + 1) * nu1
         return (self.hbar / self.m) * weight * 4.0 / (math.pi * nu * nu) * np.exp(-nu * t) / -np.expm1(-nu1 * t)
 
-    def rows(self, t, s0):
+    def rows(self, t):
         """s, est_error, tail_bound and the route code at each time t >= 0 of
-        an array; s0(times) is s_0 at the times with 0 < theta t < 1.
+        an array.
 
-        The codes index _ROUTES: 0 closed_form at t = 0, 1 thermal_excess,
-        2 matsubara, 3 quadrature_failed where est_error + tail_bound exceeds
-        rel_tol |s| + (2 hbar/pi) abs_tol (nan fails).
+        The codes index _ROUTES: 0 closed_form at t = 0 and at theta = 0,
+        1 thermal_excess below theta t = 1, 2 matsubara from there on, 3
+        quadrature_failed where est_error + tail_bound exceeds rel_tol |s| +
+        (2 hbar/pi) abs_tol (nan fails).
         """
+        if self.theta == 0.0:
+            zero = np.zeros(t.shape)
+            return self.s0(t), zero, zero, np.zeros(t.shape, np.intp)
         s = np.zeros_like(t)
         est = np.zeros_like(t)
         tail = np.zeros_like(t)
@@ -422,11 +422,14 @@ class _Thermal:
         # each row's estimate carries 4 ulp of rounding besides the rule's
         # or the constant's error: no budget below it can be met
         if low.any():
-            e, rule_est = self.excess(t[low])
-            s[low] = s0(t[low]) + e
+            tl = t[low]
+            e, rule_est = self.excess(tl)
+            # one time takes the float closed form, with the same bits: on
+            # one element the array kernels take a hundred times longer
+            s[low] = (self.s0(float(tl[0])) if tl.size == 1 else self.s0(tl)) + e
             est[low] = rule_est + 4.0 * _EPS * s[low]
-            half_u = 0.5 * self.theta * t[low]
-            tail[low] = self.rule_tail * np.minimum(1.0, half_u * half_u * (_RULE_TOP * (_RULE_TOP + 2.0) + 2.0))
+            half_u = 0.5 * self.theta * tl
+            tail[low] = self._rule[3] * np.minimum(1.0, half_u * half_u * (_RULE_TOP * (_RULE_TOP + 2.0) + 2.0))
         if series.any():
             ts = t[series]
             const, const_err = self._constant
@@ -440,19 +443,19 @@ class _Thermal:
         return s, est, tail, route
 
     def point(self, t):
-        """The QuadratureResult of s_theta at one time t >= 0; s_0 is the
-        float closed form."""
-        s, est, tail, route = self.rows(
-            np.array([t]), lambda _: _msd_closed(t, self.model, self.rp, self.m, self.hbar, _SCALAR)
-        )
-        return QuadratureResult(float(s[0]), float(est[0]), 0, float(tail[0]), bool(route[0] == 3))
+        """rows at one time t >= 0, as floats: at t = 0 and at theta = 0 the
+        float closed form, else the row of a one-element array."""
+        if self.theta == 0.0 or t == 0.0:
+            return self.s0(t), 0.0, 0.0, 0
+        s, est, tail, route = self.rows(np.array([t]))
+        return float(s[0]), float(est[0]), float(tail[0]), int(route[0])
 
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
     """Zero-temperature mean-square displacement, closed form."""
     _check_time(t)
     _check_hbar(hbar)
-    return _msd_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
+    return _Bath(model, 0.0, None, m, hbar).s0(t)
 
 
 def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
@@ -467,37 +470,29 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
     """
     _check_time(t)
     _check_hbar(hbar)
-    rp = _rates(model, m)
-    if theta == 0.0:
-        return QuadratureResult(_msd_closed(t, model, rp, m, hbar, _SCALAR), 0.0, 0, 0.0)
-    return _Thermal(model, rp, theta, cfg, m, hbar).point(t)
+    s, est, tail, route = _Bath(model, theta, cfg, m, hbar).point(t)
+    return QuadratureResult(s, est, 0, tail, route == 3)
 
 
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     """C(t) >= 0 with [x(0), x(t)] = i C(t); temperature independent."""
     _check_time(t)
     _check_hbar(hbar)
-    return _commutator_closed(t, model, _rates(model, m), m, hbar, _SCALAR)
+    return _Bath(model, 0.0, None, m, hbar).c(t)
 
 
-def _moments(model, t, sigma, theta, cfg, m, hbar, context, thermal=None):
-    """s, C and w^2 = sigma^2 + C^2/(4 sigma^2) + s.
+def _moments(bath, t, sigma, context):
+    """s, C and w^2 = sigma^2 + C^2/(4 sigma^2) + s at one time t of the _Bath.
 
     The squared commutator enters with a positive sign because the
-    commutator itself is purely imaginary. thermal is the caller's _Thermal
-    of these arguments, built once for many times; else one is built here.
-    An s outside its error budget raises QuadratureFailure for context.
+    commutator itself is purely imaginary. An s outside its error budget
+    raises QuadratureFailure for context.
     """
     _check_time(t)
-    rp = _rates(model, m)
-    if theta == 0.0 or t == 0.0:
-        s = _msd_closed(t, model, rp, m, hbar, _SCALAR)
-    else:
-        res = (thermal or _Thermal(model, rp, theta, cfg, m, hbar)).point(t)
-        if res.failed:
-            raise QuadratureFailure(res, context)
-        s = res.value
-    c = _commutator_closed(t, model, rp, m, hbar, _SCALAR)
+    s, est, tail, route = bath.point(t)
+    if route == 3:
+        raise QuadratureFailure(QuadratureResult(s, est, 0, tail, True), context)
+    c = bath.c(t)
     half = c / (2.0 * sigma)
     return s, c, sigma * sigma + half * half + s
 
@@ -520,29 +515,19 @@ def _grid(f, t):
 _ROUTES = np.array(["closed_form", "thermal_excess", "matsubara", "quadrature_failed"], dtype=object)
 
 
-def _moments_grid(model, t, sigma, theta, cfg, m, hbar, with_s=True, with_c=True):
+def _moments_grid(bath, t, sigma, with_s=True, with_c=True):
     """_moments over a time array: arrays s, C, w^2 and the list of routes.
 
-    s comes from the array closed forms at T = 0, and at T > 0 from one
-    _Thermal over the whole array; C is always an array closed form. A
-    part left out by with_s or with_c, and w^2 unless both, is None, as are
-    the routes without s.
+    s and its routes come from the _Bath's rows over the whole array, C
+    from its array closed form. A part left out by with_s or with_c, and
+    w^2 unless both, is None, as are the routes without s.
     """
-    rp = _rates(model, m)
     s = c = w2 = routes = None
-
-    def closed(x):
-        return _msd_closed(x, model, rp, m, hbar, _ARRAY)
-
-    if with_s and theta == 0.0:
-        s = _grid(closed, t)
-        routes = ["closed_form"] * t.size
-    elif with_s:
-        thermal = _Thermal(model, rp, theta, cfg, m, hbar)
-        s, _, _, route = _grid(lambda x: thermal.rows(x, closed), t)
+    if with_s:
+        s, _, _, route = _grid(bath.rows, t)
         routes = _ROUTES[route].tolist()
     if with_c:
-        c = _grid(lambda x: _commutator_closed(x, model, rp, m, hbar, _ARRAY), t)
+        c = _grid(bath.c, t)
     if with_s and with_c:
         half = c / (2.0 * sigma)
         w2 = sigma * sigma + half * half + s
@@ -555,7 +540,7 @@ def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
     _check_hbar(hbar)
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return _moments(model, t, sigma, theta, cfg, m, hbar, "packet_variance")[2]
+    return _moments(_Bath(model, theta, cfg, m, hbar), t, sigma, "packet_variance")[2]
 
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):

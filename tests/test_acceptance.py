@@ -15,6 +15,7 @@ import pytest
 from qbrownian.bath import ohmic, single_relaxation_time
 from qbrownian.decoherence import CatState, attenuation_exact, attenuation_intermediate, attenuation_short, decoherence_time, tau0
 from qbrownian.dynamics import (
+    _Bath,
     _moments,
     commutator_magnitude,
     mean_square_velocity,
@@ -235,7 +236,7 @@ def test_criterion_10_inequality_suite(rng):
     ts = np.geomspace(1e-3, 1e3, 50)
     for tau in (1e-5, 1e-2, 0.2):
         model = single_relaxation_time(1.0, tau)
-        points = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0, "s") for t in ts.tolist()]
+        points = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
         for series in zip(*points):
             if not np.all(np.diff(series) >= -1e-12 * abs(series[-1])):
                 monotone = False

@@ -12,9 +12,9 @@ from qbrownian.dynamics import (
     _NEAR_RATES,
     _SCALAR,
     QuadratureFailure,
+    _Bath,
     _moments,
     _moments_grid,
-    _near,
     commutator_magnitude,
     mean_square_velocity,
     msd_finite_T,
@@ -54,7 +54,7 @@ class TestMsdZeroT:
 
     def test_near_degenerate_series_matches_quadrature(self):
         model = single_relaxation_time(1.0, 0.25 * (1.0 - 1e-14))
-        assert _near(rates(model))
+        assert _Bath(model, 0.0, None, 1.0, 1.0).near
         for t in (0.2, 1.0, 5.0):
             quad = 2.0 / math.pi * integrate_fluctuation(model, t, 0.0, "one_minus_cos").value
             assert msd_zero_T(model, t) == pytest.approx(quad, rel=1e-8)
@@ -63,7 +63,7 @@ class TestMsdZeroT:
         # (Omega - gamma)/(Omega + gamma) = sqrt(gap) just below and just above
         # the switch: the divided-difference and the direct form agree
         below, above = (near_degenerate((_NEAR_RATES * f) ** 2) for f in (1.0 - 1e-9, 1.0 + 1e-9))
-        assert (_near(rates(below)), _near(rates(above))) == (True, False)
+        assert (_Bath(below, 0.0, None, 1.0, 1.0).near, _Bath(above, 0.0, None, 1.0, 1.0).near) == (True, False)
         for t in np.geomspace(1e-6, 1e4, 21).tolist():
             assert msd_zero_T(below, t) == pytest.approx(msd_zero_T(above, t), rel=2e-10)
             assert commutator_magnitude(below, t) == pytest.approx(
@@ -150,7 +150,7 @@ class TestCommutator:
         for t in (0.0, -0.0):
             assert math.copysign(1.0, commutator_magnitude(model, t)) == 1.0
             assert math.copysign(1.0, msd_zero_T(model, t)) == 1.0
-        s, c, _, _ = _moments_grid(model, np.array([0.0, -0.0]), 1.0, 0.0, None, 1.0, 1.0)
+        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), np.array([0.0, -0.0]), 1.0)
         assert not np.signbit(s).any() and not np.signbit(c).any()
 
 
@@ -236,7 +236,7 @@ class TestMonotonicity:
         for _ in range(10):
             tau = 10.0 ** rng.uniform(-6, math.log10(0.2))
             model = single_relaxation_time(1.0, tau)
-            points = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0, "s") for t in ts.tolist()]
+            points = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
             for series in zip(*points):
                 diffs = np.diff(series)
                 assert np.all(diffs >= -1e-12 * np.abs(series[-1]))
@@ -282,7 +282,8 @@ class TestMomentsGrid:
     """The array _moments_grid gives the scalar _moments' bits, compared with ==."""
 
     def test_baths_cover_every_closed_form(self):
-        flags = [_near(rates(GRID_BATHS[k])) for k in ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")]
+        names = ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")
+        flags = [_Bath(GRID_BATHS[k], 0.0, None, 1.0, 1.0).near for k in names]
         assert flags == [False, True, True, True]
 
     @pytest.mark.parametrize("name", list(GRID_BATHS))
@@ -292,8 +293,8 @@ class TestMomentsGrid:
         sigma, m, hbar = 0.7, 1.0, 0.9
         # a subnormal time gives subnormal arguments and nodes; bytes compare
         # the sign of zero too
-        s, c, w2, routes = _moments_grid(model, ts, sigma, 0.0, None, m, hbar)
-        ref = [_moments(model, t, sigma, 0.0, None, m, hbar, "s") for t in ts.tolist()]
+        s, c, w2, routes = _moments_grid(_Bath(model, 0.0, None, m, hbar), ts, sigma)
+        ref = [_moments(_Bath(model, 0.0, None, m, hbar), t, sigma, "s") for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
 
@@ -303,8 +304,8 @@ class TestMomentsGrid:
         # where powers of u overflow: the divided-difference form raises none
         model = GRID_BATHS["gap_1e-14"]
         ts = np.array(ts)
-        s, c, w2, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
-        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0, "s") for t in ts.tolist()]
+        s, c, w2, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
+        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
         assert np.all(np.isfinite(w2)) and np.all(s >= 0.0) and np.all(c >= 0.0)
@@ -319,14 +320,14 @@ class TestMomentsGrid:
     def test_near_degenerate_grid_matches_oracle(self, gap):
         # 4 points a decade
         model = near_degenerate(gap)
-        assert _near(rates(model))
+        assert _Bath(model, 0.0, None, 1.0, 1.0).near
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         assert np.abs(c / c_ref - 1.0).max() <= 1e-13
-        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0, "s") for t in ts.tolist()]
+        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
         assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
@@ -340,7 +341,7 @@ class TestMomentsGrid:
         # ordinary baths, and the direct form just above the switch to the
         # divided difference, r = (Omega - gamma)/(Omega + gamma) from 0.05
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
@@ -351,7 +352,7 @@ class TestMomentsGrid:
         # error of V' by u^3 from u = 1e13 on (s = 4.2e173 at t = 1e102)
         model = GRID_BATHS["gap_1e-14"]
         ts = np.geomspace(1e-12, 1e300, 313)
-        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
         assert np.all(s > 0.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
@@ -364,27 +365,27 @@ class TestMomentsGrid:
         rp = rates(model)
         assert rp.Omega * rp.Omega == math.inf
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(model, ts, 1.0, 0.0, None, 1.0, 1.0)
+        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         assert np.abs(c / c_ref - 1.0).max() <= 1e-12
-        ref = [_moments(model, t, 1.0, 0.0, None, 1.0, 1.0, "s") for t in ts.tolist()]
+        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
         assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
     def test_finite_temperature_matches_scalar(self):
         ts = np.array([0.0, 0.05, 2.0])
-        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.5, None, 1.0, 1.0)
-        ref = [_moments(SRT01, t, 1.0, 0.5, None, 1.0, 1.0, "s") for t in ts.tolist()]
+        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.5, None, 1.0, 1.0), ts, 1.0)
+        ref = [_moments(_Bath(SRT01, 0.5, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
         assert (s.tolist(), c.tolist(), w2.tolist()) == tuple([r[i] for r in ref] for i in range(3))
         assert routes == ["closed_form", "thermal_excess", "matsubara"]
 
     def test_parts_left_out(self):
         ts = np.array([0.0, 1.0])
-        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.0, None, 1.0, 1.0, with_c=False)
+        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.0, None, 1.0, 1.0), ts, 1.0, with_c=False)
         assert c is None and w2 is None and s.tolist() == [0.0, msd_zero_T(SRT01, 1.0)]
-        s, c, w2, routes = _moments_grid(SRT01, ts, 1.0, 0.5, None, 1.0, 1.0, with_s=False)
+        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.5, None, 1.0, 1.0), ts, 1.0, with_s=False)
         assert s is None and w2 is None and routes is None
         assert c.tolist() == [0.0, commutator_magnitude(SRT01, 1.0)]
 
@@ -392,15 +393,15 @@ class TestMomentsGrid:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_rejects_the_first_bad_time_like_scalar(self, bad, theta):
         with pytest.raises(ValueError) as ref:
-            _moments(SRT01, bad, 1.0, theta, None, 1.0, 1.0, "s")
+            _moments(_Bath(SRT01, theta, None, 1.0, 1.0), bad, 1.0, "s")
         with pytest.raises(ValueError) as got:
-            _moments_grid(SRT01, np.array([0.0, bad, -2.0]), 1.0, theta, None, 1.0, 1.0)
+            _moments_grid(_Bath(SRT01, theta, None, 1.0, 1.0), np.array([0.0, bad, -2.0]), 1.0)
         assert str(got.value) == str(ref.value)
 
     def test_closed_form_failure_before_a_bad_time_comes_first(self):
         # Omega t overflows to inf at 1e308, before the nan time is reached
         with pytest.raises(ValueError) as ref:
-            _moments(SRT01, 1e308, 1.0, 0.0, None, 1.0, 1.0, "s")
+            _moments(_Bath(SRT01, 0.0, None, 1.0, 1.0), 1e308, 1.0, "s")
         with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
-            _moments_grid(SRT01, np.array([1.0, 1e308, math.nan]), 1.0, 0.0, None, 1.0, 1.0)
+            _moments_grid(_Bath(SRT01, 0.0, None, 1.0, 1.0), np.array([1.0, 1e308, math.nan]), 1.0)
         assert str(got.value) == str(ref.value) == "x must be finite and non-negative, got inf"

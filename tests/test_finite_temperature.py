@@ -21,16 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbrownian.bath
 from qbrownian import cli
-from qbrownian.bath import BathModel
-from qbrownian.decoherence import CatState, attenuation_exact, decoherence_time
+from qbrownian.bath import BathModel, single_relaxation_time
+from qbrownian.decoherence import CatState, attenuation_exact, decoherence_time, probability_profile
 from qbrownian.dynamics import (
-    _ARRAY,
+    _Bath,
     _moments,
     _moments_grid,
-    _msd_closed,
-    _rates,
-    _Thermal,
     msd_finite_T,
     msd_zero_T,
     packet_variance,
@@ -73,7 +71,7 @@ class TestOracleTable:
         for (tau, theta), points in by_bath().items():
             model = BathModel(1.0, tau)
             ts = np.array([p[0] for p in points])
-            s, _, _, routes = _moments_grid(model, ts, 1.0, theta, None, 1.0, 1.0, with_c=False)
+            s, _, _, routes = _moments_grid(_Bath(model, theta, None, 1.0, 1.0), ts, 1.0, with_c=False)
             for got, route, (t, ref) in zip(s.tolist(), routes, points):
                 assert abs(got - ref) <= budget(ref), (tau, theta, t, got, ref, route)
                 worst[route] = max(worst[route], abs(got - ref) / ref)
@@ -117,13 +115,11 @@ class TestInvariants:
     @given(tau=tau_hats(), theta=THETAS, product=st.floats(1.0, 2.0))
     def test_routes_agree_where_both_hold(self, tau, theta, product):
         # the rule at 1 <= theta t <= 2 against the series matched at theta t = 1
-        model = BathModel(1.0, tau)
-        rp = _rates(model, 1.0)
-        thermal = _Thermal(model, rp, theta, None, 1.0, 1.0)
+        bath = _Bath(BathModel(1.0, tau), theta, None, 1.0, 1.0)
         t = np.array([product / theta])
-        e, _ = thermal.excess(t)
-        rule = float(_msd_closed(t, model, rp, 1.0, 1.0, _ARRAY)[0] + e[0])
-        series = float(thermal._series_part(t)[0]) + thermal._constant[0]
+        e, _ = bath.excess(t)
+        rule = float(bath.s0(t)[0] + e[0])
+        series = float(bath._series_part(t)[0]) + bath._constant[0]
         assert abs(rule - series) <= 1e-13 * rule
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -131,8 +127,8 @@ class TestInvariants:
     def test_grid_gives_the_scalar_bits(self, tau, theta):
         model = BathModel(1.0, tau)
         ts = np.concatenate(([0.0], np.geomspace(1e-15, 1e4, 39) / theta))
-        s, c, w2, routes = _moments_grid(model, ts, 0.7, theta, None, 1.0, 0.9)
-        ref = [_moments(model, t, 0.7, theta, None, 1.0, 0.9, "s") for t in ts.tolist()]
+        s, c, w2, routes = _moments_grid(_Bath(model, theta, None, 1.0, 0.9), ts, 0.7)
+        ref = [_moments(_Bath(model, theta, None, 1.0, 0.9), t, 0.7, "s") for t in ts.tolist()]
         for got, i in ((s, 0), (c, 1), (w2, 2)):
             assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
         assert set(routes) == {"closed_form", "thermal_excess", "matsubara"}
@@ -173,24 +169,62 @@ class TestCliContract:
 class TestOneContextPerCall:
     @pytest.fixture
     def built(self, monkeypatch):
-        """Times at which a _Thermal is built, one entry per build."""
+        """Times at which a _Bath is built, one entry per build."""
         log = []
-        init = _Thermal.__init__
+        init = _Bath.__init__
 
         def counted(self, *args):
             log.append(args)
             init(self, *args)
 
-        monkeypatch.setattr(_Thermal, "__init__", counted)
+        monkeypatch.setattr(_Bath, "__init__", counted)
         return log
 
     def test_a_grid_builds_one(self, built):
         model = BathModel(1.0, 0.1)
         ts = np.geomspace(1e-6, 1e3, 50)
         for _ in range(2):
-            _moments_grid(model, ts, 1.0, 0.5, None, 1.0, 1.0)
+            _moments_grid(_Bath(model, 0.5, None, 1.0, 1.0), ts, 1.0)
         assert len(built) == 2
 
     def test_a_decoherence_solve_builds_one(self, built):
         report = decoherence_time(CatState(1.0, 1000.0), BathModel(1.0, 0.01), theta=1.0, hbar=EIGHT_PI)
         assert report.n_evals > 5 and len(built) == 1
+
+    @pytest.fixture
+    def rate_calls(self, monkeypatch):
+        """Arguments of each call of bath.rates, one entry per call."""
+        log = []
+        rates = qbrownian.bath.rates
+
+        def counted(*args):
+            log.append(args)
+            return rates(*args)
+
+        monkeypatch.setattr(qbrownian.bath, "rates", counted)
+        return log
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_a_decoherence_solve_takes_the_rate_pair_once(self, rate_calls, theta):
+        report = decoherence_time(CatState(1.0, 20.0), single_relaxation_time(1.0, 0.05), theta=theta)
+        assert report.n_evals > 5 and len(rate_calls) == 1
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_a_grid_takes_the_rate_pair_once(self, rate_calls, theta):
+        ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 49)))
+        _moments_grid(_Bath(single_relaxation_time(1.0, 0.05), theta, None, 1.0, 1.0), ts, 1.0)
+        assert len(rate_calls) == 1
+
+
+@pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("function", ["packet_variance", "attenuation_exact", "probability_profile"])
+def test_theta_is_checked_at_time_zero(function, theta):
+    # the same check as at t > 0, though s(0) = 0 needs no temperature
+    model, state = single_relaxation_time(1.0, 0.05), CatState(1.0, 20.0)
+    call = {
+        "packet_variance": lambda: packet_variance(model, 0.0, 1.0, theta=theta),
+        "attenuation_exact": lambda: attenuation_exact(state, model, 0.0, theta=theta),
+        "probability_profile": lambda: probability_profile(state, model, 0.0, theta, np.linspace(-30.0, 30.0, 7)),
+    }[function]
+    with pytest.raises(ValueError, match="theta must be non-negative and finite"):
+        call()

@@ -1,9 +1,10 @@
-"""The names qbrownian exports, and the ones the benchmark's tracer wraps.
+"""The names qbrownian exports, and the ones the benchmark reads.
 
 A helper that only tests call lives in tests/oracles.py; this list keeps
 one from returning to the package unnoticed.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import qbrownian
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+CHECK = LAYERS.with_name("check.py")
 
 PUBLIC = {
     # bath
@@ -46,12 +48,17 @@ def test_exported_names():
 UNTRACED = {("qbrownian.cli", "v_function"), ("qbrownian.dynamics", "integrate_fluctuation")}
 
 
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_resolve():
     # bench/run.py --trace 1 wraps every (module, attribute) below and dies
     # with AttributeError on a home attribute that is gone
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load(LAYERS, "bench_layers")
     assert layers.TRACED
     for home, attr, others, _ in layers.TRACED.values():
         original = getattr(home, attr)
@@ -59,3 +66,21 @@ def test_traced_names_resolve():
         for module in others:
             if (module.__name__, attr) not in UNTRACED:
                 assert getattr(module, attr) is original
+
+
+def test_checker_names_resolve():
+    # bench/run.py imports bench/check.py before any op runs, so a library
+    # name it imports that is gone fails every workload; one it reads from a
+    # qbrownian module fails the checks of a row
+    check = _load(CHECK, "bench_check")
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(CHECK.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    modules = {name for name, _ in read if inspect.ismodule(getattr(check, name, None))}
+    assert {"bath", "decoherence", "dynamics", "specfun", "units"} <= modules
+    for name, attr in sorted(read):
+        module = getattr(check, name, None)
+        if inspect.ismodule(module) and module.__name__.startswith("qbrownian"):
+            assert hasattr(module, attr), f"bench/check.py reads {name}.{attr}"
