@@ -21,11 +21,13 @@ import numpy as np
 from . import bath as _bath
 from .quadrature import _NODES, _W_G, _W_K, QuadratureConfig, QuadratureResult
 from .specfun import (
+    _E1_CHEB,
+    _EI_CHEB,
     _EI_SERIES_MAX,
     _EPS,
     _V_TAYLOR_MAX,
     EULER_GAMMA,
-    _exp_integrals_array,
+    _cheb,
     _libm,
     _v_array,
     _v_prime_asymptotic,
@@ -115,8 +117,9 @@ class _ArrayOps:
         high = x >= _EI_SERIES_MAX
         out[high] = _v_prime_asymptotic(x[high])
         mid = (x >= _V_TAYLOR_MAX) & ~high
-        es, e1s = _exp_integrals_array(x[mid])
-        out[mid] = 0.5 * (es + e1s)
+        if mid.any():
+            xm = x[mid]
+            out[mid] = 0.5 * (_cheb(_EI_CHEB, xm) + _cheb(_E1_CHEB, xm))
         low = (x > 0.0) & (x < _V_TAYLOR_MAX)
         xl = x[low]
         out[low] = _v_prime_taylor(xl, _libm(math.log, xl) + EULER_GAMMA)
@@ -544,21 +547,32 @@ def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
 
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):
-    """Zero-temperature mean-square velocity of the memory bath."""
+    """Zero-temperature mean-square velocity of the memory bath,
+    (2 hbar zeta/(pi m^2)) atanh(q)/q with q = sqrt(1 - 4 zeta tau/m).
+
+    With r = 4 zeta tau/m = (1 - q)(1 + q), atanh(q) = log1p(2q (1 + q)/r)/2
+    = log1p(q) - log(r)/2: nothing cancels as q -> 1, and the second form
+    takes q >= 1/2, where 1/r may overflow. Below q = 1e-3 atanh(q)/q takes
+    its series 1 + q^2/3 + q^4/5 + q^6/7, exact to rounding there (the
+    log1p form is 2.8e-16 off at q = 1e-5).
+    """
     if model.tau == 0.0:
         raise ValueError(
             "mean square velocity is logarithmically divergent for the Ohmic "
             "model; a bath with finite relaxation time (cutoff) is required"
         )
     _check_hbar(hbar)
-    rp = _bath.rates(model, m)
-    return (
-        hbar
-        * rp.gamma
-        * rp.Omega
-        / (math.pi * m * (rp.Omega - rp.gamma))
-        * math.log(rp.Omega / rp.gamma)
-    )
+    _bath.rates(model, m)  # raises for an underdamped bath
+    r = 4.0 * model.zeta * model.tau / m
+    q = math.sqrt(1.0 - r)
+    if q < 1e-3:
+        q2 = q * q
+        ratio = 1.0 + q2 * (1.0 / 3.0 + q2 * (0.2 + q2 / 7.0))
+    elif q < 0.5:
+        ratio = math.log1p(2.0 * q * (1.0 + q) / r) / (2.0 * q)
+    else:
+        ratio = (math.log1p(q) - 0.5 * math.log(r)) / q
+    return 2.0 * hbar * model.zeta / (math.pi * m * m) * ratio
 
 
 def msd_short_time(model, t, m=1.0, hbar=1.0):

@@ -23,11 +23,46 @@ _MAX_SERIES_TERMS = 400
 # development of the defining integral of V about x = 0.
 _H_EVEN = tuple(float(sum(Fraction(1, j) for j in range(1, n + 1))) for n in range(2, 30, 2))
 
-# route switch points
+# route switch points; e^x E1 and e^-x Ei take _cheb on [_V_TAYLOR_MAX, _EI_SERIES_MAX)
 _V_TAYLOR_MAX = 2.0  # V, V': Taylor development below, exponential-integral identity above
 _E1_SERIES_MAX = 1.0  # e^x E1: power series up to here, continued fraction above
 # e^-x Ei: power series up to here, asymptotic sum above; V, V': inverse-power sums from here on
 _EI_SERIES_MAX = 40.0
+
+# Chebyshev coefficients of x e^x E1(x) - 1 and x e^-x Ei(x) - 1 in
+# t = (2/x - 0.525)/0.475, which maps [2, 40] onto [1, -1], from 50-digit
+# mpmath: tests/data/make_exp_integral_cheb.py prints them (after Cody &
+# Thacher, Math. Comp. 22, 641 (1968) and 23, 289 (1969))
+_E1_CHEB = (
+    -0.16616769950475466, -0.12430501874485413, 0.015128761599665122, -0.002356346272039055,
+    0.00042924948002984425, -8.740248694587932e-05, 1.936753555934671e-05, -4.590108191562722e-06,
+    1.1495735442177956e-06, -3.0158042541295835e-07, 8.232641039723047e-08, -2.3264855039687216e-08,
+    6.777934314361669e-09, -2.0289698703686698e-09, 6.223475545627674e-10, -1.9514709723261791e-10,
+    6.243216161631326e-11, -2.034413706121228e-11, 6.7425007697047e-12, -2.2698684793754e-12,
+    7.75340581487212e-13, -2.684520632897656e-13, 9.413281041912158e-14, -3.340206354462903e-14,
+    1.1985497427521416e-14, -4.3462193166691445e-15, 1.5917990086035672e-15, -5.885138051297009e-16,
+    2.1953692167388871e-16, -8.25941207202305e-17, 3.132600459382526e-17, -1.1973266298528254e-17,
+)
+_EI_CHEB = (
+    0.29537281991063347, 0.1839537269164062, -0.13049594157159075, -0.02734389769374135,
+    0.02274086232084222, -0.0007446923270747999, -0.00419846077606547, 0.0019233017608104874,
+    2.012631575610288e-05, -0.00047329582029606386, 0.00027507044664784624, -5.087442422420749e-05,
+    -4.007502370619227e-05, 4.24188795381097e-05, -1.9796664062880488e-05, 2.747148861956534e-06,
+    3.7203224490579364e-06, -3.846394433149816e-06, 2.052426957695809e-06, -5.441773316525359e-07,
+    -1.7716634336568102e-07, 3.3093065518152144e-07, -2.40168375043955e-07, 1.1100311885209966e-07,
+    -2.3450556723710492e-08, -1.5007713823018318e-08, 2.2148877110979765e-08, -1.6202345849519286e-08,
+    8.177294282910662e-09, -2.4531245307789403e-09, -3.9966154476296106e-10, 1.2527492689843956e-09,
+    -1.1214826153282971e-09, 6.971469215970687e-10, -3.159488855926287e-10, 7.745682959831933e-11,
+    3.2509586107005874e-11, -6.161622069471307e-11, 5.286820342062757e-11, -3.345322539394595e-11,
+    1.627233525460084e-11, -5.156053805055197e-12, -4.2163463079878306e-13, 2.3391060034090296e-12,
+    -2.3683500185095876e-12, 1.7044128941448839e-12, -9.794697513036636e-13, 4.385681787494978e-13,
+    -1.1720973060390331e-13, -3.415837512777184e-14, 8.131405290291215e-14, -7.719057040042903e-14,
+    5.522728626513237e-14, -3.252479771581482e-14, 1.5557195268805375e-14, -5.172885490491434e-15,
+    -5.858974791132593e-17, 2.0178487364991517e-15, -2.252269755323091e-15, 1.780719553589632e-15,
+    -1.1624909596523118e-15, 6.431200507448976e-16, -2.89384158702651e-16, 8.492544788262086e-17,
+    1.3338841720783903e-17, -4.766331007552702e-17, 4.9519398981733134e-17, -3.8612362210287166e-17,
+    2.5437460192942147e-17, -1.4497396279356357e-17,
+)
 
 
 @dataclass(frozen=True)
@@ -57,15 +92,35 @@ def _s1(y):
     return total
 
 
+def _cheb(coeffs, x):
+    """(1 + sum_k c_k T_k(t)) / x at t = (2/x - 0.525)/0.475 on
+    [_V_TAYLOR_MAX, _EI_SERIES_MAX): e^x E1(x) from _E1_CHEB, e^-x Ei(x)
+    from _EI_CHEB, for a float or an array.
+
+    Clenshaw's recurrence (Clenshaw, MTAC 9, 118 (1955)), in arithmetic
+    only: a float and each element of an array get the same bits.
+    """
+    t = (2.0 / x - 0.525) / 0.475
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return (1.0 + (coeffs[0] + t * b1 - b2)) / x
+
+
 def e1_scaled(x):
     """e^x * E1(x) for x > 0: no underflow at large x.
 
-    Power series up to _E1_SERIES_MAX, modified-Lentz continued fraction above.
+    Power series up to _E1_SERIES_MAX, the Chebyshev series of _cheb on
+    [_V_TAYLOR_MAX, _EI_SERIES_MAX), modified-Lentz continued fraction
+    elsewhere above.
     """
     _check_positive(x)
     if x <= _E1_SERIES_MAX:
         e1 = -EULER_GAMMA - math.log(x) - _s1(-x)
         return math.exp(x) * e1
+    if _V_TAYLOR_MAX <= x < _EI_SERIES_MAX:
+        return _cheb(_E1_CHEB, x)
     # continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...))))
     tiny = 1e-300
     b = x + 1.0
@@ -98,11 +153,14 @@ def e1_scaled(x):
 def ei_scaled_pos(x):
     """e^(-x) * Ei(x) for x > 0 (principal value), overflow-free.
 
-    Power series up to _EI_SERIES_MAX; beyond that the divergent asymptotic
-    series summed to its smallest term, whose truncation error is below
-    double precision there.
+    The Chebyshev series of _cheb on [_V_TAYLOR_MAX, _EI_SERIES_MAX), the
+    power series elsewhere up to _EI_SERIES_MAX; beyond that the divergent
+    asymptotic series summed to its smallest term, whose truncation error
+    is below double precision there.
     """
     _check_positive(x)
+    if _V_TAYLOR_MAX <= x < _EI_SERIES_MAX:
+        return _cheb(_EI_CHEB, x)
     if x <= _EI_SERIES_MAX:
         ei = EULER_GAMMA + math.log(x) + _s1(x)
         return math.exp(-x) * ei
@@ -216,9 +274,8 @@ def v_function(x):
     return VEval(value, "asymptotic", est)
 
 
-# Array kernels: the scalar algorithms above applied elementwise, with the
-# same branch points, the same operation order and each element stopping at
-# the same term, so every result is bit-identical to the scalar function's.
+# v_function over an array: the same routes with the transcendentals from
+# _libm, so every element gets the scalar function's bits
 
 
 def _libm(fn, x):
@@ -229,69 +286,6 @@ def _libm(fn, x):
     C library, as the scalar functions do.
     """
     return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _retire(out, done, value, live, *arrays):
-    """Store value[done] at out[live[done]]; return live and arrays without them."""
-    out[live[done]] = value[done]
-    keep = ~done
-    return [a[keep] for a in (live, *arrays)]
-
-
-def _s1_array(y):
-    """_s1 elementwise, iterating only over the elements still summing."""
-    out = np.empty_like(y)
-    live = np.arange(y.size)
-    total = np.zeros_like(y)
-    power = np.ones_like(y)
-    for n in range(1, _MAX_SERIES_TERMS):
-        if not live.size:
-            return out
-        power = power * (y / n)
-        term = power / n
-        total = total + term
-        done = np.abs(term) < _EPS * (np.abs(total) + 1e-300)
-        if done.any():
-            live, y, power, total = _retire(out, done, total, live, y, power, total)
-    out[live] = total
-    return out
-
-
-def _e1_cf_array(x):
-    """The modified-Lentz continued fraction of e1_scaled, elementwise."""
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    tiny = 1e-300
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    h = d
-    for i in range(1, 20000):
-        if not live.size:
-            return out
-        a = -float(i * i)
-        b = b + 2.0
-        d = a * d + b
-        if not d.all():
-            d[d == 0.0] = tiny
-        c = b + a / c
-        if not c.all():
-            c[c == 0.0] = tiny
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            live, b, c, d, h = _retire(out, done, h, live, b, c, d, h)
-    raise RuntimeError(f"continued fraction for E1 did not converge at x={float(x[live[0]])!r}")
-
-
-def _exp_integrals_array(x):
-    """ei_scaled_pos and e1_scaled over an array of arguments in
-    (_E1_SERIES_MAX, _EI_SERIES_MAX]: the Ei power series and the E1
-    continued fraction."""
-    es = _libm(math.exp, -x) * (EULER_GAMMA + _libm(math.log, x) + _s1_array(x))
-    return es, _e1_cf_array(x)
 
 
 _V_ROUTES = np.array(["series", "ei_identity", "asymptotic"], dtype=object)
@@ -317,9 +311,12 @@ def _v_array(x):
     est[series] = trunc + 4.0 * _EPS * np.maximum(np.abs(total), 1e-300)
 
     ident = (x >= _V_TAYLOR_MAX) & (x < _EI_SERIES_MAX)
-    xi = x[ident]
-    value[ident], est[ident] = _v_identity(_libm(math.log, xi) + EULER_GAMMA, *_exp_integrals_array(xi))
-    route[ident] = 1
+    if ident.any():
+        xi = x[ident]
+        value[ident], est[ident] = _v_identity(
+            _libm(math.log, xi) + EULER_GAMMA, _cheb(_EI_CHEB, xi), _cheb(_E1_CHEB, xi)
+        )
+        route[ident] = 1
 
     asym = x >= _EI_SERIES_MAX
     xa = x[asym]

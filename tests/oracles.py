@@ -172,6 +172,17 @@ def commutator_mp(model, t, m=1.0, hbar=1.0):
         return float(mpmath.mpf(hbar) / mpmath.mpf(model.zeta) * bracket)
 
 
+def mean_square_velocity_mp(model, m=1.0, hbar=1.0):
+    """<v^2> = (2 hbar zeta/(pi m^2)) atanh(q)/q, q = sqrt(1 - 4 zeta tau/m), to 60 digits.
+
+    1 - q is about 4 zeta tau/m / 2: the digits it needs to be resolved are added.
+    """
+    zeta, tau, m, hbar = (mpmath.mpf(v) for v in (model.zeta, model.tau, m, hbar))
+    with mpmath.workdps(60 + max(0, -int(mpmath.log10(4 * zeta * tau / m)))):
+        q = mpmath.sqrt(1 - 4 * zeta * tau / m)
+        return float(2 * hbar * zeta / (mpmath.pi * m * m) * mpmath.atanh(q) / q)
+
+
 def _rates_mp(model, m):
     """The rates at the working precision: (gamma, Omega), or (zeta/m, None) for the Ohmic bath."""
     zeta, tau, m = (mpmath.mpf(v) for v in (model.zeta, model.tau, m))

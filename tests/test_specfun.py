@@ -5,7 +5,9 @@ integral of V by oscillatory quadrature, the exponential integrals by
 mpmath.ei, and cross-checked against the scaled-identity representation.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrownian.specfun import (
+    _E1_CHEB,
+    _EI_CHEB,
     _EI_SERIES_MAX,
     _V_TAYLOR_MAX,
     EULER_GAMMA,
-    _exp_integrals_array,
+    _cheb,
     _v_array,
     coth_kernel,
     e1_scaled,
@@ -75,6 +79,25 @@ class TestScaledExponentialIntegrals:
         assert ei_scaled_pos(x) == pytest.approx(eis, rel=1e-13, abs=1e-16)
         assert e1_scaled(x) == pytest.approx(e1s, rel=1e-13)
 
+    def test_pair_matches_mpmath_on_the_chebyshev_window(self):
+        # [2, 40) takes the Chebyshev series; seeded random points, a log
+        # grid and the window's ends
+        rng = np.random.default_rng(20261019)
+        x = np.concatenate((rng.uniform(2.0, 40.0, 1500), np.geomspace(2.0, 40.0, 400)[:-1], [np.nextafter(40.0, 0.0)]))
+        for xi in x.tolist():
+            xm = mp.mpf(xi)
+            assert abs(mp.mpf(e1_scaled(xi)) / (mp.exp(xm) * mp.e1(xm)) - 1) <= 5e-16
+            assert abs(mp.mpf(ei_scaled_pos(xi)) / (mp.exp(-xm) * mp.ei(xm)) - 1) <= 5e-16
+
+    def test_chebyshev_tables_are_the_generators_output(self):
+        path = Path(__file__).with_name("data") / "make_exp_integral_cheb.py"
+        spec = importlib.util.spec_from_file_location("make_exp_integral_cheb", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        e1, ei = gen.tables()
+        assert np.array(_E1_CHEB).tobytes() == np.array(e1).tobytes()
+        assert np.array(_EI_CHEB).tobytes() == np.array(ei).tobytes()
+
     def test_e1_near_top_of_float_range(self):
         # above 2^1022, 1/(x + 1) is subnormal and the Lentz step cannot pass
         # its test; the result is 1/x to within one subnormal step
@@ -125,12 +148,18 @@ class TestVFunction:
 
     def test_matches_oracle_on_log_grid(self):
         # 10 points a decade and the branch neighbours. The worst points sit
-        # just above x = 2, where e1_scaled's continued fraction is a few ulp
-        # off: 1.6e-15 at the worst of 150,000 random points on [1.5, 3]
+        # just below x = 2, at the end of the Taylor development: 1.1e-15 at
+        # the worst of 100,000 random points on [1.5, 3]
         x = np.concatenate((np.geomspace(1e-4, 1e4, 81), NEIGHBOURS))
         got = np.array([v_function(xi).value for xi in x.tolist()])
         ref = np.array([v_mp(xi) for xi in x.tolist()])
-        assert np.abs(got / ref - 1.0).max() <= 2e-15
+        assert np.abs(got / ref - 1.0).max() <= 1.2e-15
+
+    def test_matches_oracle_at_random_points_around_the_taylor_switch(self):
+        x = np.random.default_rng(20261019).uniform(1.5, 3.0, 3000)
+        got = np.array([v_function(xi).value for xi in x.tolist()])
+        ref = np.array([v_mp(xi) for xi in x.tolist()])
+        assert np.abs(got / ref - 1.0).max() < 1.6e-15
 
     def test_est_error_contract_on_log_grid(self):
         # est_error <= 1e-12 * max(1, |V|) across twelve decades
@@ -245,12 +274,12 @@ def assert_v_array_is_scalar(x):
 
 
 def identity_window(x):
-    """The arguments _exp_integrals_array serves: [_V_TAYLOR_MAX, _EI_SERIES_MAX)."""
+    """The arguments _cheb serves: [_V_TAYLOR_MAX, _EI_SERIES_MAX)."""
     return x[(x >= _V_TAYLOR_MAX) & (x < _EI_SERIES_MAX)]
 
 
 def assert_exp_integrals_array_are_scalar(x):
-    es, e1s = _exp_integrals_array(x)
+    es, e1s = _cheb(_EI_CHEB, x), _cheb(_E1_CHEB, x)
     assert same_bits(es, [ei_scaled_pos(xi) for xi in x.tolist()])
     assert same_bits(e1s, [e1_scaled(xi) for xi in x.tolist()])
 
