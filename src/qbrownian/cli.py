@@ -74,39 +74,62 @@ def _parse_grid(text):
     return (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
 
 
-# rows per CSV write: the text held at once stays small at any grid size,
-# up to the 1e7-row limit
+# rows per write, in either format: the text held at once stays small at
+# any grid size, up to the 1e7-row limit
 _CHUNK_ROWS = 1024
 
 
 def _texts(column):
-    """Cells of a float array by repr, of a list by str (the repr of a float)."""
+    """CSV cells of a float array by repr, of a list by str (the repr of a float)."""
     return map(repr, column.tolist()) if isinstance(column, np.ndarray) else map(str, column)
+
+
+def _json_cell(cell):
+    """One cell as json.dumps writes it: a str escaped, a finite float by
+    repr, NaN and +-inf by name; the first two without json.dumps's cost."""
+    if isinstance(cell, str):
+        return json.encoder.encode_basestring_ascii(cell)
+    if isinstance(cell, float) and math.isfinite(cell):
+        return float.__repr__(cell)
+    return json.dumps(cell)
+
+
+def _json_texts(column):
+    """JSON cells: a float array whose values are all finite by repr alone,
+    anything else cell by cell."""
+    if isinstance(column, np.ndarray):
+        if np.isfinite(column).all():
+            return map(repr, column.tolist())
+        column = column.tolist()
+    return map(_json_cell, column)
 
 
 def _emit(spec, out, names, blocks):
     """Write blocks of columns as CSV or JSON, block after block.
 
-    A column is a float array or a list of cells. CSV goes out in writes of
-    at most _CHUNK_ROWS rows, and the newline ending each chunk on its own,
-    so no chunk is copied; JSON is one json.dumps of the whole document.
+    A column is a float array or a list of cells. Both formats go out in
+    writes of at most _CHUNK_ROWS rows, each one join of cell texts, with
+    the separator before each chunk written on its own, so no chunk is
+    copied. JSON is byte for byte json.dumps(doc, indent=2) and a newline:
+    its head and tail are cut from the text of a document whose one row
+    is [null].
     """
     if spec.output == "json":
-        rows = [
-            list(row)
-            for cols in blocks
-            for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols))
-        ]
-        doc = {"command": spec.command, "columns": list(names), "rows": rows}
-        out.write(json.dumps(doc, indent=2))
-        out.write("\n")
-        return
-    out.write(",".join(names) + "\n")
+        doc = {"command": spec.command, "columns": list(names), "rows": [[None]]}
+        head, _, tail = json.dumps(doc, indent=2).rpartition("null")
+        texts, cell_sep, row_sep = _json_texts, ",\n      ", "\n    ],\n    [\n      "
+    else:
+        head, tail = ",".join(names) + "\n", ""
+        texts, cell_sep, row_sep = _texts, ",", "\n"
+    out.write(head)
+    sep = ""
     for cols in blocks:
         for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-            cells = [_texts(c[lo:lo + _CHUNK_ROWS]) for c in cols]
-            out.write("\n".join(map(",".join, zip(*cells))))
-            out.write("\n")
+            cells = [texts(c[lo:lo + _CHUNK_ROWS]) for c in cols]
+            out.write(sep)
+            out.write(row_sep.join(map(cell_sep.join, zip(*cells))))
+            sep = row_sep
+    out.write(tail + "\n")
 
 
 def _reduced_setup(raw):

@@ -16,7 +16,6 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015329
 
 _EPS = 2.220446049250313e-16
-_MIN_NORMAL = 2.2250738585072014e-308
 _MAX_SERIES_TERMS = 400
 
 # Harmonic numbers H_2, H_4, ..., H_28; coefficients of the Taylor
@@ -26,6 +25,9 @@ _H_EVEN = tuple(float(sum(Fraction(1, j) for j in range(1, n + 1))) for n in ran
 # route switch points; e^x E1 and e^-x Ei take _cheb on [_V_TAYLOR_MAX, _EI_SERIES_MAX)
 _V_TAYLOR_MAX = 2.0  # V, V': Taylor development below, exponential-integral identity above
 _E1_SERIES_MAX = 1.0  # e^x E1: power series up to here, continued fraction above
+# depth at which e^x E1's continued fraction starts: at x = 1, where it
+# converges slowest, the truncation is 2e-18 relative
+_E1_CF_DEPTH = 120
 # e^-x Ei: power series up to here, asymptotic sum above; V, V': inverse-power sums from here on
 _EI_SERIES_MAX = 40.0
 
@@ -112,8 +114,8 @@ def e1_scaled(x):
     """e^x * E1(x) for x > 0: no underflow at large x.
 
     Power series up to _E1_SERIES_MAX, the Chebyshev series of _cheb on
-    [_V_TAYLOR_MAX, _EI_SERIES_MAX), modified-Lentz continued fraction
-    elsewhere above.
+    [_V_TAYLOR_MAX, _EI_SERIES_MAX), the continued fraction from a fixed
+    depth elsewhere above.
     """
     _check_positive(x)
     if x <= _E1_SERIES_MAX:
@@ -121,33 +123,12 @@ def e1_scaled(x):
         return math.exp(x) * e1
     if _V_TAYLOR_MAX <= x < _EI_SERIES_MAX:
         return _cheb(_E1_CHEB, x)
-    # continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...))))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    # above x = 2^1022, 1/b is subnormal: delta keeps too few bits to pass
-    # the test and no later step changes it, so the first step's h (~1/x)
-    # is returned
-    subnormal = d < _MIN_NORMAL
-    for i in range(1, 2 if subnormal else 20000):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    if subnormal:
-        return h
-    raise RuntimeError(f"continued fraction for E1 did not converge at x={x}")
+    # continued fraction 1/(x+1- 1/(x+3- 4/(x+5- 9/(...)))), evaluated from
+    # its deepest term up, where each step damps the rounding of the last
+    f = 0.0
+    for n in range(_E1_CF_DEPTH, 0, -1):
+        f = n * n / (x + (2 * n + 1) - f)
+    return 1.0 / (x + 1.0 - f)
 
 
 def ei_scaled_pos(x):

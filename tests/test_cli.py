@@ -4,15 +4,19 @@ Every test but one calls ``cli.main`` in process; the exception runs
 ``python -m qbrownian`` to cover the module entry point.
 """
 
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qbrownian
@@ -405,11 +409,28 @@ class RecordingSink:
         pass
 
 
+class DiscardingSink:
+    """Text stream that keeps nothing, so the output holds no memory."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class TestChunkedEmission:
-    def test_writes_are_bounded_and_join_to_the_unchunked_text(self, tmp_path, monkeypatch):
+    """Both formats go out in writes of at most _CHUNK_ROWS rows."""
+
+    @staticmethod
+    def msd_argv(tmp_path, output):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(LAB))
-        argv = ["--config", str(path), "--command", "msd", "--grid", "0,99999,100000,lin"]
+        return ["--config", str(path), "--command", "msd", "--grid", "0,99999,100000,lin", "--output", output]
+
+    def chunked_text(self, tmp_path, monkeypatch, output, lines_per_row):
+        """The 1e5-row msd text, after checking its writes against one chunk."""
+        argv = self.msd_argv(tmp_path, output)
 
         def writes():
             sink = RecordingSink()
@@ -421,7 +442,97 @@ class TestChunkedEmission:
         parts = writes()
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 10 ** 7)
         whole = "".join(writes())
-        assert max(part.count("\n") for part in parts) <= chunk
+        assert max(part.count("\n") for part in parts) <= chunk * lines_per_row
         assert len(parts) >= 1 + 100000 // chunk
-        assert "".join(parts) == whole
+        assert_same_text("".join(parts), whole)
+        return whole
+
+    def test_writes_are_bounded_and_join_to_the_unchunked_text(self, tmp_path, monkeypatch):
+        whole = self.chunked_text(tmp_path, monkeypatch, "csv", 1)
         assert whole.count("\n") == 100001
+
+    def test_json_writes_are_bounded_and_join_to_the_unchunked_text(self, tmp_path, monkeypatch):
+        # a JSON row is a line per cell and two bracket lines
+        whole = self.chunked_text(tmp_path, monkeypatch, "json", len(cli._COLUMNS["msd"]) + 2)
+        assert len(json.loads(whole)["rows"]) == 100000
+
+    def test_json_peak_allocation_is_that_of_csv(self, tmp_path):
+        def peak(output):
+            argv = self.msd_argv(tmp_path, output)
+            tracemalloc.start()
+            try:
+                with redirect_stdout(DiscardingSink()):
+                    assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("json") <= 2 * peak("csv")
+
+
+def emitted(command, names, blocks):
+    out = io.StringIO()
+    cli._emit(SimpleNamespace(command=command, output="json"), out, names, blocks)
+    return out.getvalue()
+
+
+def dumped(command, names, blocks):
+    """The document of the blocks' rows through json.dumps, as a reference."""
+    rows = [
+        list(row)
+        for cols in blocks
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols))
+    ]
+    return json.dumps({"command": command, "columns": list(names), "rows": rows}, indent=2) + "\n"
+
+
+def assert_same_text(got, want):
+    """got == want, reported at the first line that differs: pytest's own
+    diff of texts this long takes minutes."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        pairs = zip(got_lines, want_lines)
+        i = next((i for i, (g, w) in enumerate(pairs) if g != w), min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
+
+
+class TestJsonEmission:
+    """_emit's JSON is json.dumps(doc, indent=2) and a newline, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "rows", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 3]
+    )
+    def test_row_counts_around_the_chunk_size(self, rows):
+        rng = np.random.default_rng(rows)
+        t = rng.uniform(0.0, 1e3, rows)
+        s = np.exp(rng.normal(0.0, 200.0, rows))
+        routes = rng.choice(["closed_form", "near_degenerate"], rows).tolist()
+        blocks = [[t, t / 7.0, s * 1e-18, s, routes]]
+        names = cli._COLUMNS["msd"]
+        assert_same_text(emitted("msd", names, blocks), dumped("msd", names, blocks))
+
+    def test_sweep_blocks_with_prefix_cells(self):
+        names = ("param", "value") + cli._COLUMNS["width"]
+        blocks = []
+        for k, value in enumerate([1e-3, 0.01, np.float64(0.1)]):
+            n = cli._CHUNK_ROWS - 1 + k
+            t = np.linspace(0.0, 1.0 + k, n)
+            blocks.append([["tau_s"] * n, [value] * n, t, t * 3.0, 1e-18 + t, 1.0 + t, ["closed_form"] * n])
+        assert_same_text(emitted("sweep", names, blocks), dumped("sweep", names, blocks))
+
+    def test_one_row_of_cells_with_a_method(self):
+        # tau-d's block: one-cell lists, floats and the method
+        names = cli._COLUMNS["tau-d"]
+        blocks = [[[0.005013256549262001], [2.3e-3], [np.float64(2.4e-3)], [1.0], [0.46], ["root_find_exact"]]]
+        assert_same_text(emitted("tau-d", names, blocks), dumped("tau-d", names, blocks))
+
+    def test_non_finite_and_extreme_floats(self):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        names = cli._COLUMNS["vfun"]
+        x = np.array(special * 300)
+        # every value finite: the array goes out by repr alone
+        v = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-300, 1e16, 123.0] * 300)
+        # an escaped str among the methods: a quote, a backslash, a newline, non-ASCII
+        methods = ["series", 'a"b\\c\n\u00e9'] * 1050
+        blocks = [[x, v, methods, special * 300]]
+        assert_same_text(emitted("vfun", names, blocks), dumped("vfun", names, blocks))

@@ -138,3 +138,10 @@ def test_stdout_bytes_pinned(tmp_path, capsys):
         assert captured.out == expected[name]["stdout"], name
         if "stderr" in expected[name]:
             assert captured.err == expected[name]["stderr"], name
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.endswith("_json")])
+def test_json_cases_are_the_json_modules_text(name):
+    # pins the streamed writer to json.dumps(doc, indent=2), should either drift
+    stdout = json.loads(GOLDEN.read_text())[name]["stdout"]
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"

@@ -89,6 +89,15 @@ class TestScaledExponentialIntegrals:
             assert abs(mp.mpf(e1_scaled(xi)) / (mp.exp(xm) * mp.e1(xm)) - 1) <= 5e-16
             assert abs(mp.mpf(ei_scaled_pos(xi)) / (mp.exp(-xm) * mp.ei(xm)) - 1) <= 5e-16
 
+    def test_e1_continued_fraction_matches_mpmath(self):
+        # (1, 2) and above 40 take the continued fraction; it converges
+        # slowest next to x = 1
+        rng = np.random.default_rng(20261020)
+        x = np.concatenate((rng.uniform(1.0, 2.0, 2000), [np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0)], rng.uniform(40.0, 1e4, 300)))
+        for xi in x.tolist():
+            xm = mp.mpf(xi)
+            assert abs(mp.mpf(e1_scaled(xi)) / (mp.exp(xm) * mp.e1(xm)) - 1) <= 5e-16, xi
+
     def test_chebyshev_tables_are_the_generators_output(self):
         path = Path(__file__).with_name("data") / "make_exp_integral_cheb.py"
         spec = importlib.util.spec_from_file_location("make_exp_integral_cheb", path)
@@ -99,8 +108,8 @@ class TestScaledExponentialIntegrals:
         assert np.array(_EI_CHEB).tobytes() == np.array(ei).tobytes()
 
     def test_e1_near_top_of_float_range(self):
-        # above 2^1022, 1/(x + 1) is subnormal and the Lentz step cannot pass
-        # its test; the result is 1/x to within one subnormal step
+        # above 2^1022, 1/(x + 1) is subnormal: the result is 1/x to within
+        # one subnormal step
         x = np.concatenate((np.linspace(4.4e307, 1.7976931348623157e308, 200), [1.7e308]))
         ref = [e1_scaled(xi) for xi in x.tolist()]
         assert np.all(np.abs(np.array(ref) - 1.0 / x) <= 5e-324)
