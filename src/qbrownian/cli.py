@@ -29,6 +29,7 @@ COMMANDS = ("msd", "commutator", "width", "attenuation", "profile", "tau-d", "sw
 _SWEEPABLE = ("tau_s", "zeta", "temperature_K", "d_m")
 _CONFIG_EXTRAS = ("command", "grid", "output", "rel_tol", "abs_tol", "time_s", "observable")
 _SWEEP_OBSERVABLES = ("tau-d", "msd", "commutator", "width", "attenuation")
+_ROUTES = np.array(["closed_form", "thermal_excess", "matsubara", "quadrature_failed"], dtype=object)
 _COLUMNS = {
     "msd": ("t_s", "t_reduced", "s_m2", "s_reduced", "method"),
     "commutator": ("t_s", "t_reduced", "C_m2", "C_reduced"),
@@ -164,18 +165,16 @@ def _block(spec, red, model, state):
     # overflow to inf and nan are silent, as they are in float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         t_red = t_s / st
+        if observable == "commutator":
+            c = _dyn.commutator_magnitude(model, t_red, state.mass, red.kappa)
+            return [t_s, t_red, c * sigma ** 2, c], True
         bath = _dyn._Bath(model, red.theta, spec.quad, state.mass, red.kappa)
-        s, c, w2, routes = _dyn._moments_grid(
-            bath, t_red, state.sigma, with_s=observable != "commutator", with_c=observable != "msd"
-        )
-        if observable == "attenuation":
-            cols = [t_s, t_red, _dec._attenuation(state, s, w2, _dyn._ARRAY.exp)]
-        else:
-            value = {"msd": s, "commutator": c, "width": w2}[observable]
-            cols = [t_s, t_red, value * sigma ** 2, value]
-    if routes is None:  # commutator: no s, no routes
-        return cols, True
-    return cols + [routes], "quadrature_failed" not in routes
+        if observable == "msd":
+            value, _, _, route = _dyn._check_time(t_red, bath.rows)
+        else:  # w^2, and for attenuation s with it
+            s, _, value, route = _dyn._check_time(t_red, _dyn._moments, bath, state.sigma, None)
+        cols = [_dec._attenuation(state, s, value)] if observable == "attenuation" else [value * sigma ** 2, value]
+    return [t_s, t_red, *cols, _ROUTES[route].tolist()], 3 not in route
 
 
 def _setups(spec):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as _dyn
-from .specfun import EULER_GAMMA
+from .specfun import EULER_GAMMA, _libm
 from .units import NarrowSeparationWarning
 
 
@@ -61,24 +61,24 @@ class DecoherenceReport:
     n_evals: int
 
 
-def _attenuation(state, s, w2, exp=math.exp):
-    """exp(-s d^2 / (8 sigma^2 w^2)); exactly 1 at t = 0, where s = 0.
-
-    s and w2 are floats, or arrays with an elementwise exp.
-    """
-    return exp(-s * state.d ** 2 / (8.0 * state.sigma ** 2 * w2))
+def _attenuation(state, s, w2):
+    """exp(-s d^2 / (8 sigma^2 w^2)), exactly 1 at t = 0, where s = 0; for
+    arrays s and w2, by math's exp element by element, as for floats."""
+    x = -s * state.d ** 2 / (8.0 * state.sigma ** 2 * w2)
+    return math.exp(x) if isinstance(x, float) else _libm(math.exp, x)
 
 
 def attenuation_exact(state, model, t, theta=0.0, cfg=None, hbar=1.0, *, bath=None):
-    """Interference attenuation exp(-s d^2 / (8 sigma^2 w^2)), in (0, 1].
+    """Interference attenuation exp(-s d^2 / (8 sigma^2 w^2)), in [0, 1]: in
+    floats it is 0.0 once the exponent passes about 745, on the ion trap
+    from about 28 tau_d.
 
     bath is the dynamics._Bath of these arguments that decoherence_time
     builds once for all the evaluations of one solve; else one is built here.
     """
-    _dyn._check_time(t)
     _dyn._check_hbar(hbar)
     bath = bath or _dyn._Bath(model, theta, cfg, state.mass, hbar)
-    s, _, w2 = _dyn._moments(bath, t, state.sigma, "attenuation")
+    s, _, w2, _ = _dyn._check_time(t, _dyn._moments, bath, state.sigma, "attenuation")
     return _attenuation(state, s, w2)
 
 
@@ -239,14 +239,16 @@ def probability_profile(state, model, t, theta, x_grid, cfg=None, hbar=1.0):
     Two packet terms centered at +-d/2 plus the attenuated interference
     term; time-dependent moments are evaluated once per call.
     """
-    _dyn._check_time(t)
+    if np.ndim(t):
+        raise ValueError(f"t must be a single time, got an array of shape {np.shape(t)}")
     _dyn._check_hbar(hbar)
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1:
         raise ValueError("x_grid must be one-dimensional")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_grid must be finite")
-    s, c, w2 = _dyn._moments(_dyn._Bath(model, theta, cfg, state.mass, hbar), t, state.sigma, "attenuation")
+    bath = _dyn._Bath(model, theta, cfg, state.mass, hbar)
+    s, c, w2, _ = _dyn._check_time(t, _dyn._moments, bath, state.sigma, "attenuation")
     sigma2 = state.sigma * state.sigma
     d = state.d
     norm = 2.0 * (1.0 + math.exp(-d * d / (8.0 * sigma2)))

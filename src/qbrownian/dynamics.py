@@ -8,7 +8,9 @@ the reduced units used internally by the CLI.
 
 Each call (a grid, a tau-d solve, a single time) builds one _Bath of its
 arguments: it holds the rate pair and is the one place that picks the
-route of s at each time.
+route of s at each time. The observables of a time take a float or a 1-d
+array of times through the same path: a float gives a float, an array the
+bits of the loop of float calls.
 """
 
 from __future__ import annotations
@@ -49,9 +51,26 @@ class QuadratureFailure(RuntimeError):
         self.result = result
 
 
-def _check_time(t):
+def _check_time(t, f=None, *args):
+    """f(t, *args) at a float or a 1-d array of times t >= 0; without f, the
+    check of a float alone. A negative or non-finite time raises ValueError,
+    in an array only after f has run on the times before it: an array raises
+    what the loop of float calls would raise first."""
+    # a float is tested first: isinstance of ndarray takes 4 times as long
+    if not isinstance(t, float) and isinstance(t, np.ndarray):
+        if t.ndim != 1:
+            t = float(t)  # a 0-d array is one time; float refuses a larger one
+        elif f is not None:
+            t = t.astype(float, copy=False)  # int times are computed as floats
+            bad = ~(np.isfinite(t) & (t >= 0.0))
+            if not bad.any():
+                return f(t, *args)
+            stop = int(bad.argmax())
+            f(t[:stop], *args)
+            t = float(t[stop])
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be non-negative and finite, got {t!r}")
+    return None if f is None else f(t, *args)
 
 
 def _check_hbar(hbar):
@@ -266,9 +285,9 @@ def _pole(a, t, theta):
 
 class _Bath:
     """One bath at one temperature theta >= 0: the rate pair (None for the
-    Ohmic bath), s_0 and C at a float or an array of times, and s by the
-    route that rows and point pick. At theta > 0 the rule and the constant
-    that matches the series to it at t1 = 1/theta are built on first use."""
+    Ohmic bath), and s_0, C and s by the route that rows picks at a float
+    or an array of times. At theta > 0 the rule and the constant that
+    matches the series to it at t1 = 1/theta are built on first use."""
 
     def __init__(self, model, theta, cfg, m, hbar):
         if not (0.0 <= theta < math.inf):
@@ -406,14 +425,19 @@ class _Bath:
         return (self.hbar / self.m) * weight * 4.0 / (math.pi * nu * nu) * np.exp(-nu * t) / -np.expm1(-nu1 * t)
 
     def rows(self, t):
-        """s, est_error, tail_bound and the route code at each time t >= 0 of
-        an array.
+        """s, est_error, tail_bound and the route code at a float or an array
+        of times t >= 0: floats and an int for a float, arrays for an array.
 
-        The codes index _ROUTES: 0 closed_form at t = 0 and at theta = 0,
-        1 thermal_excess below theta t = 1, 2 matsubara from there on, 3
-        quadrature_failed where est_error + tail_bound exceeds rel_tol |s| +
-        (2 hbar/pi) abs_tol (nan fails).
+        The codes: 0 closed_form at t = 0 and at theta = 0, 1 thermal_excess
+        below theta t = 1, 2 matsubara from there on, 3 quadrature_failed
+        where est_error + tail_bound exceeds rel_tol |s| + (2 hbar/pi)
+        abs_tol (nan fails). A float takes the float closed form at t = 0
+        and at theta = 0, else the row of a one-element array.
         """
+        if not isinstance(t, np.ndarray):
+            if self.theta == 0.0 or t == 0.0:
+                return self.s0(t), 0.0, 0.0, 0
+            return tuple(a.item() for a in self.rows(np.array([t], float)))
         if self.theta == 0.0:
             zero = np.zeros(t.shape)
             return self.s0(t), zero, zero, np.zeros(t.shape, np.intp)
@@ -445,20 +469,11 @@ class _Bath:
         route[~(est + tail <= budget)] = 3
         return s, est, tail, route
 
-    def point(self, t):
-        """rows at one time t >= 0, as floats: at t = 0 and at theta = 0 the
-        float closed form, else the row of a one-element array."""
-        if self.theta == 0.0 or t == 0.0:
-            return self.s0(t), 0.0, 0.0, 0
-        s, est, tail, route = self.rows(np.array([t]))
-        return float(s[0]), float(est[0]), float(tail[0]), int(route[0])
-
 
 def msd_zero_T(model, t, m=1.0, hbar=1.0):
     """Zero-temperature mean-square displacement, closed form."""
-    _check_time(t)
     _check_hbar(hbar)
-    return _Bath(model, 0.0, None, m, hbar).s0(t)
+    return _check_time(t, _Bath(model, 0.0, None, m, hbar).s0)
 
 
 def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
@@ -470,80 +485,48 @@ def msd_finite_T(model, t, theta, cfg=None, m=1.0, hbar=1.0):
     its matching constant), tail_bound the rule's cutoff or the series'
     truncation, panels_used 0, and failed says whether their sum exceeds
     rel_tol |s| + (2 hbar/pi) abs_tol. At theta = 0 it is the closed form.
+    For a 1-d array of times the fields are arrays, one element a time.
     """
-    _check_time(t)
     _check_hbar(hbar)
-    s, est, tail, route = _Bath(model, theta, cfg, m, hbar).point(t)
+    s, est, tail, route = _check_time(t, _Bath(model, theta, cfg, m, hbar).rows)
     return QuadratureResult(s, est, 0, tail, route == 3)
 
 
 def commutator_magnitude(model, t, m=1.0, hbar=1.0):
     """C(t) >= 0 with [x(0), x(t)] = i C(t); temperature independent."""
-    _check_time(t)
     _check_hbar(hbar)
-    return _Bath(model, 0.0, None, m, hbar).c(t)
+    return _check_time(t, _Bath(model, 0.0, None, m, hbar).c)
 
 
-def _moments(bath, t, sigma, context):
-    """s, C and w^2 = sigma^2 + C^2/(4 sigma^2) + s at one time t of the _Bath.
+def _moments(t, bath, sigma, context):
+    """s, C, w^2 = sigma^2 + C^2/(4 sigma^2) + s and the route code of s at
+    checked times of the _Bath, a float or an array.
 
     The squared commutator enters with a positive sign because the
-    commutator itself is purely imaginary. An s outside its error budget
-    raises QuadratureFailure for context.
+    commutator itself is purely imaginary. With a context, the first s
+    outside its error budget raises QuadratureFailure for context.
     """
-    _check_time(t)
-    s, est, tail, route = bath.point(t)
-    if route == 3:
-        raise QuadratureFailure(QuadratureResult(s, est, 0, tail, True), context)
+    s, est, tail, route = bath.rows(t)
+    if context is not None:
+        if isinstance(s, float):  # as it is for a float or an int time
+            if route == 3:
+                raise QuadratureFailure(QuadratureResult(s, est, 0, tail, True), context)
+        else:
+            failed = np.flatnonzero(route == 3)
+            if failed.size:
+                i = failed[0]
+                raise QuadratureFailure(QuadratureResult(float(s[i]), float(est[i]), 0, float(tail[i]), True), context)
     c = bath.c(t)
     half = c / (2.0 * sigma)
-    return s, c, sigma * sigma + half * half + s
-
-
-def _grid(f, t):
-    """f over a time array.
-
-    Raises what the point-by-point evaluation would raise first: a failure
-    of f at an earlier time, else _check_time's error for the first
-    negative or non-finite time.
-    """
-    bad = ~(np.isfinite(t) & (t >= 0.0))
-    stop = int(bad.argmax()) if bad.any() else t.size
-    out = f(t[:stop])
-    if stop < t.size:
-        _check_time(float(t[stop]))
-    return out
-
-
-_ROUTES = np.array(["closed_form", "thermal_excess", "matsubara", "quadrature_failed"], dtype=object)
-
-
-def _moments_grid(bath, t, sigma, with_s=True, with_c=True):
-    """_moments over a time array: arrays s, C, w^2 and the list of routes.
-
-    s and its routes come from the _Bath's rows over the whole array, C
-    from its array closed form. A part left out by with_s or with_c, and
-    w^2 unless both, is None, as are the routes without s.
-    """
-    s = c = w2 = routes = None
-    if with_s:
-        s, _, _, route = _grid(bath.rows, t)
-        routes = _ROUTES[route].tolist()
-    if with_c:
-        c = _grid(bath.c, t)
-    if with_s and with_c:
-        half = c / (2.0 * sigma)
-        w2 = sigma * sigma + half * half + s
-    return s, c, w2, routes
+    return s, c, sigma * sigma + half * half + s, route
 
 
 def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
     """Single-packet variance sigma^2 + C(t)^2/(4 sigma^2) + s(t)."""
-    _check_time(t)
     _check_hbar(hbar)
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return _moments(_Bath(model, theta, cfg, m, hbar), t, sigma, "packet_variance")[2]
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    return _check_time(t, _moments, _Bath(model, theta, cfg, m, hbar), sigma, "packet_variance")[2]
 
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):

@@ -158,18 +158,45 @@ def _closed_form(model, t, m, f):
         return (o2 * f(gamma * t) - g2 * f(omega * t)) / (o2 - g2)
 
 
-def msd_zero_T_mp(model, t, m=1.0, hbar=1.0):
-    """Zero-temperature s(t) = (2 hbar/(pi zeta)) V-combination, to 50 digits."""
+def msd_zero_T_mp(model, t, m=1.0, hbar=1.0, rounded=True):
+    """Zero-temperature s(t) = (2 hbar/(pi zeta)) V-combination, to 50
+    digits; an mpf at the working precision unless rounded to a float."""
     with mpmath.workdps(_DPS + _GUARD_DPS):
         bracket = _closed_form(model, t, m, _v_mp)
-        return float(2 * mpmath.mpf(hbar) / (mpmath.pi * mpmath.mpf(model.zeta)) * bracket)
+        s = 2 * mpmath.mpf(hbar) / (mpmath.pi * mpmath.mpf(model.zeta)) * bracket
+        return float(s) if rounded else s
 
 
-def commutator_mp(model, t, m=1.0, hbar=1.0):
-    """C(t) = (hbar/zeta) (1 - e^-u)-combination, to 50 digits."""
+def commutator_mp(model, t, m=1.0, hbar=1.0, rounded=True):
+    """C(t) = (hbar/zeta) (1 - e^-u)-combination, to 50 digits; an mpf at
+    the working precision unless rounded to a float."""
     with mpmath.workdps(_DPS + _GUARD_DPS):
         bracket = _closed_form(model, t, m, lambda u: -mpmath.expm1(-u))
-        return float(mpmath.mpf(hbar) / mpmath.mpf(model.zeta) * bracket)
+        c = mpmath.mpf(hbar) / mpmath.mpf(model.zeta) * bracket
+        return float(c) if rounded else c
+
+
+def attenuation_mp(state, model, t, hbar=1.0, rounded=True):
+    """a(t) = exp(-s d^2 / (8 sigma^2 w^2)) at T = 0, with w^2 = sigma^2 +
+    C^2/(4 sigma^2) + s, from the 50-digit s and C."""
+    with mpmath.workdps(_DPS + _GUARD_DPS):
+        s = msd_zero_T_mp(model, t, state.mass, hbar, rounded=False)
+        c = commutator_mp(model, t, state.mass, hbar, rounded=False)
+        sigma, d = mpmath.mpf(state.sigma), mpmath.mpf(state.d)
+        w2 = sigma * sigma + c * c / (4 * sigma * sigma) + s
+        a = mpmath.exp(-s * d * d / (8 * sigma * sigma * w2))
+        return float(a) if rounded else a
+
+
+def tau_d_mp(state, model, tau_d, hbar=1.0):
+    """The T = 0 root of a(t) = 1/e next to the float estimate tau_d, to 50
+    digits: Anderson-Bjorck's bracketing secant from tau_d (1 +- 1e-6), as
+    Newton's method diverges on the ion trap."""
+    with mpmath.workdps(_DPS):
+        target = mpmath.exp(-1)
+        bracket = (mpmath.mpf(tau_d) * (1 - mpmath.mpf("1e-6")), mpmath.mpf(tau_d) * (1 + mpmath.mpf("1e-6")))
+        root = mpmath.findroot(lambda t: attenuation_mp(state, model, t, hbar, rounded=False) - target, bracket, solver="anderson")
+        return float(root)
 
 
 def mean_square_velocity_mp(model, m=1.0, hbar=1.0):

@@ -395,6 +395,66 @@ class TestMalformedNumbers:
         assert_rejected(run_cli(*args, config=dict(LAB, time_s=0.5)), name)
 
 
+# floats at and past the ends of the float range, and a negative one
+EXTREMES = (0.0, 5e-324, 1e-308, 1e308, -1.0)
+# the row invariants: s >= 0, C >= 0, w^2 >= sigma^2 (1 reduced) and a in
+# [0, 1], not (0, 1]: e^-x is 0.0 in floats beyond x = 745
+INVARIANTS = {
+    "s_reduced": lambda v: v >= 0.0,
+    "C_reduced": lambda v: v >= 0.0,
+    "w2_reduced": lambda v: v >= 1.0,
+    "a": lambda v: 0.0 <= v <= 1.0,
+}
+
+
+def contract_runs(seed, count):
+    """(config, argv) of count seeded runs: the ion trap with one to three
+    SI fields replaced, by a log-uniform value within 1e8 of the field's
+    (1e-6 to 1e2 K for the temperature) or by one of EXTREMES, and one of
+    the commands on a 5- or 6-point grid where it takes one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        config = dict(BE9)
+        for name in rng.choice(list(BE9), size=rng.integers(1, 4), replace=False).tolist():
+            if rng.random() < 0.3:
+                config[name] = float(rng.choice(EXTREMES))
+            elif name == "temperature_K":
+                config[name] = float(10.0 ** rng.uniform(-6.0, 2.0))
+            else:
+                config[name] = float(BE9[name] * 10.0 ** rng.uniform(-8.0, 8.0))
+        command = str(rng.choice(["msd", "commutator", "width", "attenuation", "profile", "tau-d"]))
+        argv = ["--command", command]
+        points = int(rng.integers(5, 7))
+        if command == "profile":
+            config["time_s"] = float(10.0 ** rng.uniform(-18.0, -3.0))
+            argv.append(f"--grid=-0.02,0.02,{points},lin")
+        elif command != "tau-d":
+            argv.append(str(rng.choice([f"--grid=0,1e-3,{points},lin", f"--grid=1e-18,1e-2,{points},log"])))
+        yield config, argv
+
+
+class TestContractSweep:
+    def test_exit_codes_and_row_invariants(self, run_cli):
+        codes = []
+        for config, argv in contract_runs(20261020, 300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", qbrownian.units.NarrowSeparationWarning)
+                proc = run_cli(*argv, config=config)
+            case = (config, argv, proc.stderr)
+            assert proc.returncode in (0, 2, 3), case
+            assert "Traceback" not in proc.stderr, case
+            codes.append(proc.returncode)
+            if proc.returncode and "quadrature_failed" not in proc.stdout:
+                assert proc.stdout == "" and proc.stderr.count("\n") == 1, case
+                continue
+            names, *rows = [line.split(",") for line in proc.stdout.splitlines()]
+            for name in set(names) & set(INVARIANTS):
+                column = names.index(name)
+                assert all(INVARIANTS[name](float(row[column])) for row in rows), case
+        # every outcome is exercised
+        assert {0, 2, 3} <= set(codes)
+
+
 class RecordingSink:
     """Text stream that keeps every write separately."""
 

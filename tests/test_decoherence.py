@@ -19,9 +19,12 @@ from qbrownian.decoherence import (
 )
 from qbrownian.units import HBAR, NarrowSeparationWarning, PhysicalParams, reduce
 from conftest import integrate_profile
+from oracles import attenuation_mp, tau_d_mp
 
 EIGHT_PI = 8.0 * math.pi
 ION_MASS = 1.494e-26
+# the ion trap in SI units, with hbar: tau_d = 2.0e-16 s
+ION_TRAP = (CatState(sigma=1e-10, d=1e-2, mass=ION_MASS), single_relaxation_time(ION_MASS * 6e3, 1e-10), HBAR)
 
 
 def _bisection_tau_d(state, model, theta=0.0, hbar=1.0):
@@ -101,6 +104,24 @@ class TestAttenuationExact:
             exact = attenuation_exact(state, model, t)
             short = attenuation_short(state, model, t)
             assert short == pytest.approx(exact, rel=0.02)
+
+    def test_matches_the_50_digit_attenuation_on_an_array(self):
+        state, model, hbar = ION_TRAP
+        ts = np.geomspace(1e-17, 2e-15, 12)
+        got = attenuation_exact(state, model, ts, hbar=hbar)
+        ref = np.array([attenuation_mp(state, model, t, hbar) for t in ts.tolist()])
+        # a = e^-x falls to 1e-42 here: an error of x relative to x (a few
+        # ulp) moves a by x times as much
+        assert np.all(np.abs(got / ref - 1.0) <= 1e-15 * np.maximum(1.0, -np.log(ref)))
+
+    def test_underflows_to_zero(self):
+        # a lies in [0, 1], not (0, 1]: e^-x is 0.0 in floats beyond x = 745,
+        # on the ion trap from about 5.6e-15 s, some 28 tau_d; the CLI
+        # prints 1.4e-222 at 4.6e-15 s
+        state, model, hbar = ION_TRAP
+        a = attenuation_exact(state, model, np.array([4.6e-15, 6.8e-15]), hbar=hbar)
+        assert 0.0 < a[0] < 1e-200 and a[1] == 0.0
+        assert attenuation_exact(state, model, 6.8e-15, hbar=hbar) == 0.0
 
     def test_temperature_ordering_short_window(self):
         model = single_relaxation_time(1.0, 0.05)
@@ -192,6 +213,13 @@ class TestDecoherenceTime:
             report.tau0 * 0.4659906017846561, rel=1e-12
         )
         assert report.tau_d == pytest.approx(report.tau_d_eq26, rel=0.10)
+
+    @pytest.mark.parametrize("tau", [None, 0.05, 0.01, 0.2499999], ids=["ion_trap", "0.05", "0.01", "0.2499999"])
+    def test_root_matches_the_50_digit_root(self, tau):
+        # tau_d is the upper end of a bracket 1e-10 tau_d wide
+        state, model, hbar = ION_TRAP if tau is None else (CatState(1.0, 20.0), single_relaxation_time(1.0, tau), 0.5)
+        tau_d = decoherence_time(state, model, hbar=hbar).tau_d
+        assert abs(tau_d - tau_d_mp(state, model, tau_d, hbar)) <= 1e-10 * tau_d
 
     def test_never_crossing_reported_distinctly(self):
         with pytest.warns(NarrowSeparationWarning):
@@ -338,6 +366,14 @@ class TestProbabilityProfile:
         expected = math.pi / (c * state.d / (4.0 * w2))
         assert len(spacings) >= 2
         assert np.allclose(spacings, expected, rtol=1e-4)
+
+    def test_takes_one_time(self):
+        state, model, xs = CatState(1.0, 10.0), ohmic(1.0), [0.0, 1.0]
+        for t in (np.array([1.0, 2.0]), [1.0], np.array([[1.0]])):
+            with pytest.raises(ValueError, match="t must be a single time"):
+                probability_profile(state, model, t, 0.0, xs)
+        one = probability_profile(state, model, 1.0, 0.0, xs)[1]
+        assert probability_profile(state, model, np.array(1.0), 0.0, xs)[1].tolist() == one.tolist()
 
     def test_rejects_bad_grid(self):
         state = CatState(1.0, 10.0)

@@ -13,8 +13,6 @@ from qbrownian.dynamics import (
     _SCALAR,
     QuadratureFailure,
     _Bath,
-    _moments,
-    _moments_grid,
     commutator_magnitude,
     mean_square_velocity,
     msd_finite_T,
@@ -25,6 +23,7 @@ from qbrownian.dynamics import (
 )
 from qbrownian.quadrature import QuadratureConfig, integrate_fluctuation
 from qbrownian.specfun import EULER_GAMMA, v_function
+from conftest import public_grid, same_as_loop
 from oracles import commutator_mp, mean_square_velocity_approx, mean_square_velocity_mp, msd_zero_T_mp, v_prime_mp
 
 SRT01 = single_relaxation_time(1.0, 0.1)
@@ -150,8 +149,8 @@ class TestCommutator:
         for t in (0.0, -0.0):
             assert math.copysign(1.0, commutator_magnitude(model, t)) == 1.0
             assert math.copysign(1.0, msd_zero_T(model, t)) == 1.0
-        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), np.array([0.0, -0.0]), 1.0)
-        assert not np.signbit(s).any() and not np.signbit(c).any()
+        ts = np.array([0.0, -0.0])
+        assert not np.signbit(msd_zero_T(model, ts)).any() and not np.signbit(commutator_magnitude(model, ts)).any()
 
 
 class TestPacketVariance:
@@ -179,6 +178,11 @@ class TestPacketVariance:
         w2_cold = packet_variance(SRT01, 1.0, 1.0, theta=0.0)
         w2_hot = packet_variance(SRT01, 1.0, 1.0, theta=2.0)
         assert w2_hot > w2_cold
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            packet_variance(SRT01, 1.0, sigma)
 
     def test_quadrature_failure_propagates(self):
         # a budget no route can meet
@@ -251,8 +255,7 @@ class TestMonotonicity:
         for _ in range(10):
             tau = 10.0 ** rng.uniform(-6, math.log10(0.2))
             model = single_relaxation_time(1.0, tau)
-            points = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
-            for series in zip(*points):
+            for series in (msd_zero_T(model, ts), commutator_magnitude(model, ts), packet_variance(model, ts, 1.0)):
                 diffs = np.diff(series)
                 assert np.all(diffs >= -1e-12 * np.abs(series[-1]))
 
@@ -294,7 +297,8 @@ GRID_BATHS = {
 
 
 class TestMomentsGrid:
-    """The array _moments_grid gives the scalar _moments' bits, compared with ==."""
+    """The public observables of a time on an array give the bits of the
+    loop of their float calls, compared byte for byte (see same_as_loop)."""
 
     def test_baths_cover_every_closed_form(self):
         names = ("two_rate", "gap_1e-8", "gap_1e-12", "gap_1e-14")
@@ -303,15 +307,20 @@ class TestMomentsGrid:
 
     @pytest.mark.parametrize("name", list(GRID_BATHS))
     def test_zero_temperature_matches_scalar(self, name):
-        model = GRID_BATHS[name]
-        ts = np.concatenate(([0.0, 5e-324], np.geomspace(1e-14, 1e6, 400), [1.0, 0.0]))
-        sigma, m, hbar = 0.7, 1.0, 0.9
         # a subnormal time gives subnormal arguments and nodes; bytes compare
         # the sign of zero too
-        s, c, w2, routes = _moments_grid(_Bath(model, 0.0, None, m, hbar), ts, sigma)
-        ref = [_moments(_Bath(model, 0.0, None, m, hbar), t, sigma, "s") for t in ts.tolist()]
-        for got, i in ((s, 0), (c, 1), (w2, 2)):
-            assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
+        ts = np.concatenate(([0.0, 5e-324], np.geomspace(1e-14, 1e6, 400), [1.0, -0.0]))
+        public_grid(GRID_BATHS[name], ts)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 2.18e4])
+    @pytest.mark.parametrize("name", ["ohmic", "two_rate", "gap_1e-14", "overflowing"])
+    def test_every_public_function_matches_scalar(self, name, theta):
+        # Omega^2 overflows in the last bath (tau_hat = 6e-157)
+        model = single_relaxation_time(1.0, 6e-157) if name == "overflowing" else GRID_BATHS[name]
+        ts = np.concatenate(([0.0, -0.0, 5e-324], np.geomspace(1e-12, 1e4, 33), [0.0]))
+        s, c, w2, a = public_grid(model, ts, theta)
+        assert np.all(s.value >= 0.0) and not s.failed.any()
+        assert np.all(c >= 0.0) and np.all(w2 >= 0.7 * 0.7) and np.all((a >= 0.0) & (a <= 1.0))
 
     @pytest.mark.parametrize("ts", [[5e-324, 1e-310, 5e-309, 2e-308], [3e102, 1e200, 8.5e307]])
     def test_degeneracy_expansion_at_extreme_times(self, ts):
@@ -319,10 +328,8 @@ class TestMomentsGrid:
         # where powers of u overflow: the divided-difference form raises none
         model = GRID_BATHS["gap_1e-14"]
         ts = np.array(ts)
-        s, c, w2, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
-        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
-        for got, i in ((s, 0), (c, 1), (w2, 2)):
-            assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
+        res, c, w2, _ = public_grid(model, ts, sigma=1.0, hbar=1.0)
+        s = res.value
         assert np.all(np.isfinite(w2)) and np.all(s >= 0.0) and np.all(c >= 0.0)
         if ts[0] > 1.0:
             # V(u) - u V'(u) / 2 -> log u + gamma_E - 1/2, and C -> hbar / zeta
@@ -337,14 +344,12 @@ class TestMomentsGrid:
         model = near_degenerate(gap)
         assert _Bath(model, 0.0, None, 1.0, 1.0).near
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
+        s = same_as_loop(lambda t: msd_zero_T(model, t), ts)
+        c = same_as_loop(lambda t: commutator_magnitude(model, t), ts)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         assert np.abs(c / c_ref - 1.0).max() <= 1e-13
-        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
-        assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
-        assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
     @pytest.mark.parametrize(
         "model",
@@ -356,23 +361,22 @@ class TestMomentsGrid:
         # ordinary baths, and the direct form just above the switch to the
         # divided difference, r = (Omega - gamma)/(Omega + gamma) from 0.05
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
-        assert np.abs(s / s_ref - 1.0).max() <= 1e-12
-        assert np.abs(c / c_ref - 1.0).max() <= 1e-12
+        assert np.abs(msd_zero_T(model, ts) / s_ref - 1.0).max() <= 1e-12
+        assert np.abs(commutator_magnitude(model, ts) / c_ref - 1.0).max() <= 1e-12
 
     def test_near_degenerate_at_huge_times(self):
         # the degeneracy expansion this form replaced multiplied a one-ulp
         # error of V' by u^3 from u = 1e13 on (s = 4.2e173 at t = 1e102)
         model = GRID_BATHS["gap_1e-14"]
         ts = np.geomspace(1e-12, 1e300, 313)
-        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
+        s = msd_zero_T(model, ts)
         assert np.all(s > 0.0)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
-        assert np.abs(c / c_ref - 1.0).max() <= 1e-13
+        assert np.abs(commutator_magnitude(model, ts) / c_ref - 1.0).max() <= 1e-13
 
     def test_overflowing_fast_rate_matches_oracle(self):
         # tau_hat = 6e-157 (the ion trap with tau_s = 1e-160): Omega^2 overflows
@@ -380,43 +384,55 @@ class TestMomentsGrid:
         rp = rates(model)
         assert rp.Omega * rp.Omega == math.inf
         ts = np.geomspace(1e-12, 1e5, 69)
-        s, c, _, _ = _moments_grid(_Bath(model, 0.0, None, 1.0, 1.0), ts, 1.0)
+        s = same_as_loop(lambda t: msd_zero_T(model, t), ts)
+        c = same_as_loop(lambda t: commutator_magnitude(model, t), ts)
         s_ref = np.array([msd_zero_T_mp(model, t) for t in ts.tolist()])
         c_ref = np.array([commutator_mp(model, t) for t in ts.tolist()])
         assert np.abs(s / s_ref - 1.0).max() <= 1e-12
         assert np.abs(c / c_ref - 1.0).max() <= 1e-12
-        ref = [_moments(_Bath(model, 0.0, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
-        assert s.tobytes() == np.array([r[0] for r in ref]).tobytes()
-        assert c.tobytes() == np.array([r[1] for r in ref]).tobytes()
 
     def test_finite_temperature_matches_scalar(self):
         ts = np.array([0.0, 0.05, 2.0])
-        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.5, None, 1.0, 1.0), ts, 1.0)
-        ref = [_moments(_Bath(SRT01, 0.5, None, 1.0, 1.0), t, 1.0, "s") for t in ts.tolist()]
-        assert (s.tolist(), c.tolist(), w2.tolist()) == tuple([r[i] for r in ref] for i in range(3))
-        assert routes == ["closed_form", "thermal_excess", "matsubara"]
+        public_grid(SRT01, ts, 0.5)
+        assert _Bath(SRT01, 0.5, None, 1.0, 1.0).rows(ts)[3].tolist() == [0, 1, 2]
+        assert _Bath(SRT01, 0.5, None, 1.0, 1.0).rows(0.05)[3] == 1
 
-    def test_parts_left_out(self):
-        ts = np.array([0.0, 1.0])
-        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.0, None, 1.0, 1.0), ts, 1.0, with_c=False)
-        assert c is None and w2 is None and s.tolist() == [0.0, msd_zero_T(SRT01, 1.0)]
-        s, c, w2, routes = _moments_grid(_Bath(SRT01, 0.5, None, 1.0, 1.0), ts, 1.0, with_s=False)
-        assert s is None and w2 is None and routes is None
-        assert c.tolist() == [0.0, commutator_magnitude(SRT01, 1.0)]
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_integer_times_give_the_float_results(self, theta):
+        # an int time, or an int array, once truncated s to an integer at theta > 0
+        ints = public_grid(SRT01, np.array([0, 1, 3]), theta, hbar=1.0)
+        floats = public_grid(SRT01, np.array([0.0, 1.0, 3.0]), theta, hbar=1.0)
+        assert ints[0].value.tobytes() == floats[0].value.tobytes()
+        assert all(i.tobytes() == f.tobytes() for i, f in zip(ints[1:], floats[1:]))
+        assert msd_finite_T(SRT01, 3, theta).value == floats[0].value[2]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_rejects_the_first_bad_time_like_scalar(self, bad, theta):
-        with pytest.raises(ValueError) as ref:
-            _moments(_Bath(SRT01, theta, None, 1.0, 1.0), bad, 1.0, "s")
-        with pytest.raises(ValueError) as got:
-            _moments_grid(_Bath(SRT01, theta, None, 1.0, 1.0), np.array([0.0, bad, -2.0]), 1.0)
-        assert str(got.value) == str(ref.value)
+        for ts in (np.array([0.0, 1.0, bad, -2.0]), np.array([bad, 1.0])):
+            assert public_grid(SRT01, ts, theta) == (None,) * 4
+            with pytest.raises(ValueError, match=f"t must be non-negative and finite, got {bad!r}"):
+                packet_variance(SRT01, ts, 1.0, theta)
+
+    def test_a_failed_row_comes_before_a_bad_time(self):
+        # a budget no route can meet: msd_finite_T flags the row, the others
+        # raise its QuadratureFailure, before the nan time is reached
+        cfg = QuadratureConfig(rel_tol=1e-20, abs_tol=1e-300)
+        ts = np.array([0.0, 3.0, math.nan])
+        assert msd_finite_T(SRT01, ts[:2], 1.0, cfg=cfg).failed.tolist() == [False, True]
+        assert public_grid(SRT01, ts, 1.0, cfg=cfg) == (None,) * 4
+        with pytest.raises(QuadratureFailure, match="quadrature failed for packet_variance"):
+            packet_variance(SRT01, ts, 1.0, 1.0, cfg=cfg)
+        with pytest.raises(ValueError, match="t must be non-negative and finite, got nan"):
+            msd_finite_T(SRT01, ts, 1.0, cfg=cfg)
+        with pytest.raises(ValueError, match="t must be non-negative and finite, got nan"):
+            packet_variance(SRT01, ts[::2], 1.0, 1.0, cfg=cfg)
 
     def test_closed_form_failure_before_a_bad_time_comes_first(self):
         # Omega t overflows to inf at 1e308, before the nan time is reached
-        with pytest.raises(ValueError) as ref:
-            _moments(_Bath(SRT01, 0.0, None, 1.0, 1.0), 1e308, 1.0, "s")
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
-            _moments_grid(_Bath(SRT01, 0.0, None, 1.0, 1.0), np.array([1.0, 1e308, math.nan]), 1.0)
-        assert str(got.value) == str(ref.value) == "x must be finite and non-negative, got inf"
+        ts = np.array([1.0, 1e308, math.nan])
+        with np.errstate(over="ignore"):
+            assert public_grid(SRT01, ts, sigma=1.0, hbar=1.0) == (None,) * 4
+            with pytest.raises(ValueError) as got:
+                packet_variance(SRT01, ts, 1.0)
+        assert str(got.value) == "x must be finite and non-negative, got inf"

@@ -25,16 +25,10 @@ import qbrownian.bath
 from qbrownian import cli
 from qbrownian.bath import BathModel, single_relaxation_time
 from qbrownian.decoherence import CatState, attenuation_exact, decoherence_time, probability_profile
-from qbrownian.dynamics import (
-    _Bath,
-    _moments,
-    _moments_grid,
-    msd_finite_T,
-    msd_zero_T,
-    packet_variance,
-)
+from qbrownian.dynamics import _Bath, msd_finite_T, msd_zero_T, packet_variance
 from qbrownian.quadrature import QuadratureConfig
 from qbrownian.units import NarrowSeparationWarning
+from conftest import public_grid
 
 ORACLE = json.loads((Path(__file__).with_name("data") / "finite_t_oracle.json").read_text())
 CFG = QuadratureConfig()
@@ -71,7 +65,8 @@ class TestOracleTable:
         for (tau, theta), points in by_bath().items():
             model = BathModel(1.0, tau)
             ts = np.array([p[0] for p in points])
-            s, _, _, routes = _moments_grid(_Bath(model, theta, None, 1.0, 1.0), ts, 1.0, with_c=False)
+            s = msd_finite_T(model, ts, theta).value
+            routes = cli._ROUTES[_Bath(model, theta, None, 1.0, 1.0).rows(ts)[3]].tolist()
             for got, route, (t, ref) in zip(s.tolist(), routes, points):
                 assert abs(got - ref) <= budget(ref), (tau, theta, t, got, ref, route)
                 worst[route] = max(worst[route], abs(got - ref) / ref)
@@ -107,6 +102,7 @@ class TestInvariants:
         w2 = packet_variance(model, t, 1.0, theta)
         assert w2 >= 1.0
         a = attenuation_exact(CatState(1.0, d_hat), model, t, theta)
+        # a lies in [0, 1], not (0, 1]: e^-x underflows to 0.0 beyond x = 745
         assert 0.0 <= a <= 1.0
         if res.value * d_hat * d_hat / (8.0 * w2) < 700.0:
             assert a > 0.0
@@ -127,11 +123,8 @@ class TestInvariants:
     def test_grid_gives_the_scalar_bits(self, tau, theta):
         model = BathModel(1.0, tau)
         ts = np.concatenate(([0.0], np.geomspace(1e-15, 1e4, 39) / theta))
-        s, c, w2, routes = _moments_grid(_Bath(model, theta, None, 1.0, 0.9), ts, 0.7)
-        ref = [_moments(_Bath(model, theta, None, 1.0, 0.9), t, 0.7, "s") for t in ts.tolist()]
-        for got, i in ((s, 0), (c, 1), (w2, 2)):
-            assert got.tobytes() == np.array([r[i] for r in ref]).tobytes()
-        assert set(routes) == {"closed_form", "thermal_excess", "matsubara"}
+        public_grid(model, ts, theta)
+        assert set(_Bath(model, theta, None, 1.0, 0.9).rows(ts)[3].tolist()) == {0, 1, 2}
 
 
 SI = st.floats(-40.0, 40.0).map(lambda e: 10.0 ** e)
@@ -183,8 +176,8 @@ class TestOneContextPerCall:
     def test_a_grid_builds_one(self, built):
         model = BathModel(1.0, 0.1)
         ts = np.geomspace(1e-6, 1e3, 50)
-        for _ in range(2):
-            _moments_grid(_Bath(model, 0.5, None, 1.0, 1.0), ts, 1.0)
+        msd_finite_T(model, ts, 0.5)
+        packet_variance(model, ts, 1.0, 0.5)
         assert len(built) == 2
 
     def test_a_decoherence_solve_builds_one(self, built):
@@ -212,7 +205,7 @@ class TestOneContextPerCall:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_a_grid_takes_the_rate_pair_once(self, rate_calls, theta):
         ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 49)))
-        _moments_grid(_Bath(single_relaxation_time(1.0, 0.05), theta, None, 1.0, 1.0), ts, 1.0)
+        packet_variance(single_relaxation_time(1.0, 0.05), ts, 1.0, theta)
         assert len(rate_calls) == 1
 
 
