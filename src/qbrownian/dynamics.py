@@ -32,11 +32,11 @@ from .specfun import (
     _cheb,
     _libm,
     _v_array,
+    _v_point,
     _v_prime_asymptotic,
     _v_prime_taylor,
     e1_scaled,
     ei_scaled_pos,
-    v_function,
 )
 
 
@@ -55,7 +55,8 @@ def _check_time(t, f=None, *args):
     """f(t, *args) at a float or a 1-d array of times t >= 0; without f, the
     check of a float alone. A negative or non-finite time raises ValueError,
     in an array only after f has run on the times before it: an array raises
-    what the loop of float calls would raise first."""
+    what the loop of float calls would raise first. Overflow to inf and nan
+    are silent in an array, as they are in float arithmetic."""
     # a float is tested first: isinstance of ndarray takes 4 times as long
     if not isinstance(t, float) and isinstance(t, np.ndarray):
         if t.ndim != 1:
@@ -63,10 +64,11 @@ def _check_time(t, f=None, *args):
         elif f is not None:
             t = t.astype(float, copy=False)  # int times are computed as floats
             bad = ~(np.isfinite(t) & (t >= 0.0))
-            if not bad.any():
-                return f(t, *args)
-            stop = int(bad.argmax())
-            f(t[:stop], *args)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not bad.any():
+                    return f(t, *args)
+                stop = int(bad.argmax())
+                f(t[:stop], *args)
             t = float(t[stop])
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be non-negative and finite, got {t!r}")
@@ -97,7 +99,7 @@ class _ScalarOps:
 
     @staticmethod
     def v(x):
-        return v_function(x).value
+        return _v_point(float(x))[0]  # a float, as v_function gives, for a numpy scalar too
 
     @staticmethod
     def v_prime(x):

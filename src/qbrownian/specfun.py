@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -21,6 +23,8 @@ _MAX_SERIES_TERMS = 400
 # Harmonic numbers H_2, H_4, ..., H_28; coefficients of the Taylor
 # development of the defining integral of V about x = 0.
 _H_EVEN = tuple(float(sum(Fraction(1, j) for j in range(1, n + 1))) for n in range(2, 30, 2))
+# ((2k)!, H_2k) for k = 1..14, each (2k)! the running float product 2 * 12 * 30 ...
+_V_TAYLOR_TERMS = tuple(zip(accumulate((float((2 * k - 1) * (2 * k)) for k in range(1, 15)), mul), _H_EVEN))
 
 # route switch points; e^x E1 and e^-x Ei take _cheb on [_V_TAYLOR_MAX, _EI_SERIES_MAX)
 _V_TAYLOR_MAX = 2.0  # V, V': Taylor development below, exponential-integral identity above
@@ -173,17 +177,17 @@ def _v_taylor(x, ell):
     H_30 - ell, bounds the rest. The rounding of ell enters every term, in
     all (cosh x - 1) |ell| eps.
     """
+    x2 = x * x
     total = 0.0
     cosh_m1 = 0.0
     p = 1.0
-    fact = 1.0
-    for k, h in enumerate(_H_EVEN, start=1):
-        p = p * (x * x)
-        fact *= (2 * k - 1) * (2 * k)
+    for fact, h in _V_TAYLOR_TERMS:
+        p = p * x2
         term = p / fact
         cosh_m1 = cosh_m1 + term
         total = total - term * (ell - h)
-    return total, p * (x * x) / (fact * 870.0) * (abs(ell) + 4.1) + 2.0 * _EPS * abs(ell) * cosh_m1
+    # fact is 28! here: the next term is x^30/30! (H_30 - ell)
+    return total, p * x2 / (fact * 870.0) * (abs(ell) + 4.1) + 2.0 * _EPS * abs(ell) * cosh_m1
 
 
 def _v_prime_taylor(x, ell):
@@ -229,6 +233,23 @@ def _v_prime_asymptotic(x):
     return acc / x
 
 
+def _v_point(x):
+    """V at one float x: (value, est_error, method), the route switch of
+    v_function without its VEval. A negative or non-finite x raises
+    v_function's ValueError."""
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"x must be finite and non-negative, got {x!r}")
+    if x == 0.0:
+        return 0.0, 0.0, "series"
+    ell = math.log(x) + EULER_GAMMA
+    if x < _V_TAYLOR_MAX:
+        value, trunc = _v_taylor(x, ell)
+        return value, trunc + 4.0 * _EPS * max(abs(value), 1e-300), "series"
+    if x < _EI_SERIES_MAX:
+        return (*_v_identity(ell, _cheb(_EI_CHEB, x), _cheb(_E1_CHEB, x)), "ei_identity")
+    return (*_v_asymptotic(x, ell), "asymptotic")
+
+
 def v_function(x):
     """V(x) = integral_0^inf dy x^2 (1 - cos y) / (y (y^2 + x^2)).
 
@@ -239,20 +260,8 @@ def v_function(x):
     """
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValueError(f"x must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    if x == 0.0:
-        return VEval(0.0, "series", 0.0)
-    ell = math.log(x) + EULER_GAMMA
-    if x < _V_TAYLOR_MAX:
-        value, trunc = _v_taylor(x, ell)
-        return VEval(value, "series", trunc + 4.0 * _EPS * max(abs(value), 1e-300))
-    if x < _EI_SERIES_MAX:
-        value, est = _v_identity(ell, ei_scaled_pos(x), e1_scaled(x))
-        return VEval(value, "ei_identity", est)
-    value, est = _v_asymptotic(x, ell)
-    return VEval(value, "asymptotic", est)
+    value, est, method = _v_point(float(x))
+    return VEval(value, method, est)
 
 
 # v_function over an array: the same routes with the transcendentals from

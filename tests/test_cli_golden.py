@@ -10,12 +10,18 @@ in the middle, so state kept between calls (such as the shared argument
 parser) cannot leak into the output.
 """
 
+import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from qbrownian import cli
+from qbrownian.bath import BathModel
+from qbrownian.decoherence import CatState
+from qbrownian.units import params_from_dict, reduce
+from oracles import tau_d_mp
 from test_cli import BE9, LAB
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
@@ -145,3 +151,44 @@ def test_json_cases_are_the_json_modules_text(name):
     # pins the streamed writer to json.dumps(doc, indent=2), should either drift
     stdout = json.loads(GOLDEN.read_text())[name]["stdout"]
     assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+def _zero_temperature_tau_d_rows():
+    """(case name, config, printed tau_d_reduced) of every T = 0 tau-d golden row."""
+    expected = json.loads(GOLDEN.read_text())
+    rows = []
+    for name, (config, _) in CASES.items():
+        stdout = expected[name]["stdout"]
+        if name.endswith("_json"):
+            doc = json.loads(stdout)
+            table = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        else:
+            table = list(csv.DictReader(stdout.splitlines()))
+        for row in table:
+            if "tau_d_reduced" not in row:
+                break
+            row_config = dict(config, **{row["param"]: float(row["value"])}) if "param" in row else config
+            if row_config.get("temperature_K", 0.0) == 0.0:
+                rows.append((name, row_config, float(row["tau_d_reduced"])))
+    return rows
+
+
+TAU_D_ROWS = _zero_temperature_tau_d_rows()
+
+
+@pytest.mark.parametrize("name, config, tau_d", TAU_D_ROWS, ids=[f"{r[0]}-{i}" for i, r in enumerate(TAU_D_ROWS)])
+def test_zero_temperature_tau_d_rows_match_the_50_digit_root(name, config, tau_d):
+    # a re-recorded root must be the root, not just the last run's bits:
+    # tau_d is the upper end of a bracket 1e-10 tau_d wide
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a narrow separation warns in reduce and CatState
+        red = reduce(params_from_dict(config))
+        state = CatState(1.0, red.d_hat, 1.0)
+    model = BathModel(1.0, red.tau_hat)
+    assert abs(tau_d - tau_d_mp(state, model, tau_d, red.kappa)) <= 1e-10 * tau_d
+
+
+def test_tau_d_rows_cover_the_golden_cases():
+    names = {r[0] for r in TAU_D_ROWS}
+    assert names == {"sweep_tau_d_csv", "tau_d_csv", "tau_d_near_degenerate_csv", "tau_d_fast_rate_csv"}
+    assert len(TAU_D_ROWS) == 6

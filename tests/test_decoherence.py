@@ -17,6 +17,7 @@ from qbrownian.decoherence import (
     probability_profile,
     tau0,
 )
+from qbrownian.specfun import EULER_GAMMA
 from qbrownian.units import HBAR, NarrowSeparationWarning, PhysicalParams, reduce
 from conftest import integrate_profile
 from oracles import attenuation_mp, tau_d_mp
@@ -280,19 +281,59 @@ class TestDecoherenceTime:
             reference = _bisection_tau_d(state, model, hbar=kappa)
             assert report.tau_d == pytest.approx(reference, rel=2e-10)
 
-    def test_n_evals_counts_attenuation_calls(self, monkeypatch):
+    @staticmethod
+    def _counted_solve(monkeypatch, state, model, **kwargs):
+        """decoherence_time's report and the times of the attenuation_exact calls it made."""
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args, **kw):
             calls.append(args[2])
-            return attenuation_exact(*args, **kwargs)
+            return attenuation_exact(*args, **kw)
 
         monkeypatch.setattr(dec, "attenuation_exact", counted)
-        state, model = CatState(1.0, 1000.0), single_relaxation_time(1.0, 0.01)
-        report = decoherence_time(state, model, hbar=EIGHT_PI)
+        report = decoherence_time(state, model, **kwargs)
         assert report.n_evals == len(calls)
-        # the first probe sits at 1e-6 tau0, the second at the eq. 26 estimate
-        assert calls[:2] == [1e-6 * report.tau0, report.tau_d_eq26]
+        return report, calls
+
+    def test_n_evals_counts_attenuation_calls(self, monkeypatch):
+        # tau_d lies below tau = 0.01, where eq. 26 gives the larger root, and
+        # above tau = 1e-6, where the intermediate law does
+        for tau, law_wins in ((0.01, False), (1e-6, True)):
+            state, model = CatState(1.0, 1000.0), single_relaxation_time(1.0, tau)
+            report, calls = self._counted_solve(monkeypatch, state, model, hbar=EIGHT_PI)
+            # the intermediate law's root by its fixed point from eq. 26
+            law = report.tau_d_eq26
+            for _ in range(20):
+                law = report.tau0 / math.sqrt(1.5 - EULER_GAMMA - math.log(law))
+            estimate = dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
+            assert estimate == pytest.approx(max(law, report.tau_d_eq26), rel=1e-5)
+            assert (estimate > report.tau_d_eq26) == law_wins
+            # the first probes bracket [0.9, 1.06] times the estimate; none at 1e-6 tau0
+            assert calls[:2] == [0.9 * estimate, 1.06 * estimate]
+            assert report.bracket == (0.9 * estimate, 1.06 * estimate)
+            assert min(calls) == 0.9 * estimate
+
+    def test_box_solves_take_about_seven_evaluations(self, rng):
+        # the criterion-10 box and the ion trap take 6.99 evaluations a solve, at most 7
+        n_evals = [decoherence_time(*case[:2], hbar=case[2]).n_evals for case in _zero_temperature_cases(rng, 400)]
+        assert np.mean(n_evals) <= 7.5 and max(n_evals) <= 9
+
+    def test_downward_widening_reaches_the_first_probe(self, monkeypatch):
+        # at theta = 1e12 the attenuation is below 1/e already at 1e-6 tau0:
+        # the bracket halves down from 0.9 times the estimate to that probe,
+        # evaluates it once, and the crossing lies in (0, 1e-6 tau0]
+        state, model = CatState(1.0, 20.0), single_relaxation_time(1.0, 0.01)
+        report, calls = self._counted_solve(monkeypatch, state, model, theta=1e12, hbar=0.5)
+        first = 1e-6 * report.tau0
+        assert report.bracket == (0.0, first)
+        assert 0.0 < report.tau_d <= first
+        scan = calls[:calls.index(first) + 1]
+        assert scan[0] == 0.9 * dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
+        assert all(0.5 * a == b for a, b in zip(scan, scan[1:-1])) and 0.5 * scan[-2] <= first < scan[-2]
+        assert calls.count(first) == 1 and min(calls) > 0.0
+        monkeypatch.undo()
+        reference = _bisection_tau_d(state, model, theta=1e12, hbar=0.5)
+        assert report.tau_d == pytest.approx(reference, rel=2e-10)
 
     @pytest.mark.parametrize(
         "gap, root",

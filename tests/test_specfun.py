@@ -15,14 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbrownian.dynamics import _SCALAR
 from qbrownian.specfun import (
     _E1_CHEB,
     _EI_CHEB,
     _EI_SERIES_MAX,
+    _EPS,
+    _H_EVEN,
     _V_TAYLOR_MAX,
     EULER_GAMMA,
     _cheb,
+    _libm,
     _v_array,
+    _v_point,
+    _v_taylor,
     coth_kernel,
     e1_scaled,
     ei_scaled_pos,
@@ -329,3 +335,58 @@ class TestArrayKernelsBitwise:
         with pytest.raises(ValueError) as got:
             _v_array(np.array([1.0, bad, -2.0]))
         assert str(got.value) == str(ref.value)
+
+
+def _v_taylor_loop(x, ell):
+    """_v_taylor with (2k)! as the running product of its loop, as it was
+    before the table: the reference for the table's bits."""
+    total = 0.0
+    cosh_m1 = 0.0
+    p = 1.0
+    fact = 1.0
+    for k, h in enumerate(_H_EVEN, start=1):
+        p = p * (x * x)
+        fact *= (2 * k - 1) * (2 * k)
+        term = p / fact
+        cosh_m1 = cosh_m1 + term
+        total = total - term * (ell - h)
+    return total, p * (x * x) / (fact * 870.0) * (abs(ell) + 4.1) + 2.0 * _EPS * abs(ell) * cosh_m1
+
+
+# the float V's switch points and their neighbours, with 0 and the smallest subnormal
+FLOAT_V_POINTS = [
+    0.0, 5e-324, *np.geomspace(5e-324, 1e300, 4001).tolist(),
+    *(y for b in (0.0, 2.0, 40.0) for y in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)) if y >= 0.0),
+]
+
+
+class TestFloatV:
+    """The float V of the closed forms: v_function's route switch without its VEval."""
+
+    def test_gives_v_functions_bits(self):
+        for x in FLOAT_V_POINTS:
+            ref = v_function(x)
+            value, est, method = _v_point(x)
+            assert same_bits(np.array([value, est, _SCALAR.v(x)]), [ref.value, ref.est_error, ref.value]), x
+            assert method == ref.method and type(value) is float
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_like_v_function(self, bad):
+        with pytest.raises(ValueError) as ref:
+            v_function(bad)
+        for f in (_v_point, _SCALAR.v):
+            with pytest.raises(ValueError) as got:
+                f(bad)
+            assert str(got.value) == str(ref.value)
+
+    def test_taylor_table_gives_the_loops_bits(self):
+        rng = np.random.default_rng(25)
+        x = np.exp(rng.uniform(math.log(1e-300), math.log(2.0), 20000))
+        x = np.concatenate((x, [1e-300, math.nextafter(2.0, 0.0), 1.0]))
+        for xi in x.tolist():
+            ell = math.log(xi) + EULER_GAMMA
+            assert same_bits(np.array(_v_taylor(xi, ell)), _v_taylor_loop(xi, ell)), xi
+        xa = x[:1000]
+        ell = _libm(math.log, xa) + EULER_GAMMA
+        for got, ref in zip(_v_taylor(xa, ell), _v_taylor_loop(xa, ell)):
+            assert same_bits(got, ref)
