@@ -49,7 +49,8 @@ class CatState:
 class DecoherenceReport:
     """Characteristic times: the scale tau0 and the 1/e crossing tau_d.
 
-    bracket is the scan bracket with bracket[0] < tau_d <= bracket[1];
+    bracket is the scan bracket, bracket[0] < tau_d <= bracket[1]: the first
+    probes, an upward doubling of them, or the floor and the first probe;
     n_evals counts the attenuation evaluations the root find spent.
     """
 
@@ -128,55 +129,35 @@ def attenuation_intermediate(state, model, t, hbar=1.0):
     return math.exp(ratio * ratio * bracket)
 
 
-def _brent_root(gap, lo, hi, g_lo, g_hi, rtol):
-    """Crossing of gap inside a bracket with g_lo = gap(lo) > 0 >= g_hi = gap(hi).
+def _regula_falsi(gap, lo, hi, g_lo, g_hi, rtol):
+    """Crossing of gap in a bracket with g_lo = gap(lo) > 0 >= g_hi = gap(hi).
 
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4): inverse quadratic or secant steps through the last points,
-    replaced by bisection whenever a step would not shrink the bracket
-    fast enough, and never shorter than half the tolerance. Stops once
-    hi - lo <= rtol * hi and returns hi, the earliest time known to have
+    Regula falsi with Anderson & Bjorck's scaling (BIT 13, 97 (1973)): the
+    end kept for a second step in a row has its gap scaled by 1 - g/g_old,
+    here at least 1/2, as in the Illinois method. A step stays rtol*hi/2 or
+    more from either end; a non-finite one bisects. Stops at hi - lo <=
+    rtol*hi or an exact zero and returns hi, the earliest time known to have
     crossed, so the root stays inside the starting bracket (lo, hi].
     """
-    pre, g_pre, cur, g_cur = lo, g_lo, hi, g_hi
-    blk, g_blk = pre, g_pre
-    s_pre = s_cur = cur - pre
-    while True:
-        if (g_pre > 0.0) != (g_cur > 0.0):
-            # cur and pre straddle the crossing: pre becomes the contrapoint
-            blk, g_blk = pre, g_pre
-            s_pre = s_cur = cur - pre
-        if abs(g_blk) < abs(g_cur):
-            pre, cur, blk = cur, blk, cur
-            g_pre, g_cur, g_blk = g_cur, g_blk, g_cur
-        top = max(cur, blk)
-        if g_cur == 0.0 or abs(blk - cur) <= rtol * top:
-            return cur if g_cur <= 0.0 else blk
-        delta = 0.5 * rtol * top
-        s_bis = 0.5 * (blk - cur)
-        # g_cur and g_blk lie on opposite sides and |g_cur| < |g_pre|, so no
-        # denominator below can vanish
-        if abs(s_pre) > delta and abs(g_cur) < abs(g_pre):
-            if pre == blk:
-                s_try = -g_cur * (cur - pre) / (g_cur - g_pre)
-            else:
-                d_pre = (g_pre - g_cur) / (pre - cur)
-                d_blk = (g_blk - g_cur) / (blk - cur)
-                s_try = -g_cur * (g_blk * d_blk - g_pre * d_pre) / (d_blk * d_pre * (g_blk - g_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+    moved = 0  # 1 after a step that moved lo, -1 after one that moved hi
+    while g_hi != 0.0 and hi - lo > rtol * hi:
+        delta = 0.5 * rtol * hi
+        t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        t = min(max(t, lo + delta), hi - delta) if math.isfinite(t) else 0.5 * (lo + hi)
+        g = gap(t)
+        if g > 0.0:
+            if moved == 1:
+                g_hi *= max(0.5, 1.0 - g / g_lo)
+            lo, g_lo, moved = t, g, 1
         else:
-            s_pre = s_cur = s_bis
-        pre, g_pre = cur, g_cur
-        cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        g_cur = gap(cur)
+            if moved == -1:
+                g_lo *= max(0.5, 1.0 - g / g_hi)
+            hi, g_hi, moved = t, g, -1
+    return hi
 
 
-# steps of the fixed point in _start_estimate: over 2,400 seeded solves of
-# the criterion-10 box, three give the evaluation counts of the converged
-# root; the fourth is margin
+# steps of the fixed point in _start_estimate: over 2,400 seeded box solves
+# three give the evaluation counts of the converged root; the fourth is margin
 _FIXED_POINT_STEPS = 4
 
 
@@ -198,17 +179,16 @@ def _start_estimate(state, model, t0, eq26):
 def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
     """First time at which the attenuation falls to 1/e.
 
-    The start estimate is the larger of the short-time estimate tau_d_eq26
-    and the root of the intermediate-time law. The first bracket is
-    [0.9, 1.06] times it; where that does not hold the crossing, it is
-    widened by factors of 2: upward up to the scan cap of 1e6 reduced time
-    units (BracketScanError beyond), downward to the probe at 1e-6 tau0,
-    and if the attenuation is already below 1/e there, the crossing is
-    bracketed by (0, 1e-6 tau0]. Brent's method then refines the bracket
-    until hi - lo <= 1e-10 hi. A crossing at or above tau0 is refused with
-    BracketScanError too, as one beyond the scan cap is. The report carries
-    the scan bracket, the estimate and n_evals, the number of attenuation
-    evaluations spent.
+    The first bracket is [0.9, 1.06] times the start estimate, the larger of
+    tau_d_eq26 and the root of the intermediate-time law. If its upper end
+    has not crossed, the bracket doubles upward up to the scan cap of 1e6
+    reduced time units; if its lower end has, the lower end drops to the
+    floor 0.99 (sigma^2/d) sqrt(8/v2), v2 = <v^2>_0 + hbar theta/m, up to
+    which s <= v2 t^2 and w^2 >= sigma^2 keep a >= e^-0.9801 > 1/e. Regula
+    falsi then refines the bracket to hi - lo <= 1e-10 hi. A floor at or
+    above the cap, no crossing below it, or one at or above tau0 raises
+    BracketScanError. The report carries the scan bracket and n_evals, the
+    number of attenuation evaluations spent.
     """
     _require_srt(model)
     t0 = tau0(state, model, hbar=hbar)
@@ -224,16 +204,17 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
 
     t_cap = 1e6 * state.mass / model.zeta
     capped = f"attenuation stays above 1/e up to the scan cap {t_cap!r}"
-    eq26 = t0 / math.sqrt(abs(math.log(model.zeta * model.tau / state.mass)))
-    first = 1e-6 * t0
-    if not t_cap > first:
+    # hbar theta/m bounds the thermal part of <v^2>: coth x - 1 <= 1/x and
+    # the f-sum rule int w Im alpha dw = pi/(2m)
+    v2 = _dyn._mean_square_velocity(model, state.mass, hbar) + hbar * theta / state.mass
+    floor = 0.99 * state.sigma ** 2 / state.d * math.sqrt(8.0 / v2)
+    if not floor < t_cap:
         raise BracketScanError(capped)
-    # |log(zeta tau / m)| < 745 in floating point puts eq26, and so 0.9
-    # times the estimate, far above the probe at 1e-6 tau0
+    eq26 = t0 / math.sqrt(abs(math.log(model.zeta * model.tau / state.mass)))
     estimate = _start_estimate(state, model, t0, eq26)
     lo, hi = 0.9 * estimate, 1.06 * estimate
     if hi > t_cap:  # the bracket ends at a scan cap below the estimate
-        lo, hi = max(0.5 * t_cap, first), t_cap
+        lo, hi = max(0.5 * t_cap, floor), t_cap
     g_lo = gap(lo)
     if g_lo > 0.0:
         g_hi = gap(hi)
@@ -242,15 +223,9 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
             if hi > t_cap:
                 raise BracketScanError(capped)
             g_hi = gap(hi)
-    while g_lo <= 0.0:  # crossed below 0.9 times the estimate: halve down to the probe
-        hi, g_hi = lo, g_lo
-        if hi == first:
-            # attenuation_exact is exactly 1 at t = 0, so gap(0) needs no evaluation
-            lo, g_lo = 0.0, 1.0 - target
-        else:
-            lo = max(0.5 * hi, first)
-            g_lo = gap(lo)
-    tau_d = _brent_root(gap, lo, hi, g_lo, g_hi, 1e-10)
+    else:  # the first probe has crossed, so it lies above the floor
+        lo, g_lo, hi, g_hi = floor, gap(floor), lo, g_lo
+    tau_d = _regula_falsi(gap, lo, hi, g_lo, g_hi, 1e-10)
     if not tau_d < t0:
         raise BracketScanError(f"decoherence time {tau_d!r} did not fall below tau0 {t0!r}")
     return DecoherenceReport(t0, tau_d, eq26, "root_find_exact", (lo, hi), n_evals)

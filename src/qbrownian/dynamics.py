@@ -16,6 +16,7 @@ bits of the loop of float calls.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -56,10 +57,11 @@ def _check_time(t, f=None, *args):
     check of a float alone. A negative or non-finite time raises ValueError,
     in an array only after f has run on the times before it: an array raises
     what the loop of float calls would raise first. Overflow to inf and nan
-    are silent in an array, as they are in float arithmetic."""
+    are silent in an array, as they are in float arithmetic. Any other real
+    time, an int or a numpy scalar, is computed as its float."""
     # a float is tested first: isinstance of ndarray takes 4 times as long
-    if not isinstance(t, float) and isinstance(t, np.ndarray):
-        if t.ndim != 1:
+    if type(t) is not float and isinstance(t, (np.ndarray, numbers.Real)):
+        if not isinstance(t, np.ndarray) or t.ndim != 1:
             t = float(t)  # a 0-d array is one time; float refuses a larger one
         elif f is not None:
             t = t.astype(float, copy=False)  # int times are computed as floats
@@ -99,7 +101,7 @@ class _ScalarOps:
 
     @staticmethod
     def v(x):
-        return _v_point(float(x))[0]  # a float, as v_function gives, for a numpy scalar too
+        return _v_point(x)[0]
 
     @staticmethod
     def v_prime(x):
@@ -533,14 +535,7 @@ def packet_variance(model, t, sigma, theta=0.0, cfg=None, m=1.0, hbar=1.0):
 
 def mean_square_velocity(model, m=1.0, hbar=1.0):
     """Zero-temperature mean-square velocity of the memory bath,
-    (2 hbar zeta/(pi m^2)) atanh(q)/q with q = sqrt(1 - 4 zeta tau/m).
-
-    With r = 4 zeta tau/m = (1 - q)(1 + q), atanh(q) = log1p(2q (1 + q)/r)/2
-    = log1p(q) - log(r)/2: nothing cancels as q -> 1, and the second form
-    takes q >= 1/2, where 1/r may overflow. Below q = 1e-3 atanh(q)/q takes
-    its series 1 + q^2/3 + q^4/5 + q^6/7, exact to rounding there (the
-    log1p form is 2.8e-16 off at q = 1e-5).
-    """
+    (2 hbar zeta/(pi m^2)) atanh(q)/q with q = sqrt(1 - 4 zeta tau/m)."""
     if model.tau == 0.0:
         raise ValueError(
             "mean square velocity is logarithmically divergent for the Ohmic "
@@ -548,6 +543,18 @@ def mean_square_velocity(model, m=1.0, hbar=1.0):
         )
     _check_hbar(hbar)
     _bath.rates(model, m)  # raises for an underdamped bath
+    return _mean_square_velocity(model, m, hbar)
+
+
+def _mean_square_velocity(model, m, hbar):
+    """mean_square_velocity of a checked overdamped memory bath.
+
+    With r = 4 zeta tau/m = (1 - q)(1 + q), atanh(q) = log1p(2q (1 + q)/r)/2
+    = log1p(q) - log(r)/2: nothing cancels as q -> 1, and the second form
+    takes q >= 1/2, where 1/r may overflow. Below q = 1e-3 atanh(q)/q takes
+    its series 1 + q^2/3 + q^4/5 + q^6/7, exact to rounding there (the
+    log1p form is 2.8e-16 off at q = 1e-5).
+    """
     r = 4.0 * model.zeta * model.tau / m
     q = math.sqrt(1.0 - r)
     if q < 1e-3:

@@ -1,6 +1,7 @@
 """Attenuation, characteristic times, and cat-state profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qbrownian.decoherence import (
     probability_profile,
     tau0,
 )
+from qbrownian.dynamics import mean_square_velocity
 from qbrownian.specfun import EULER_GAMMA
 from qbrownian.units import HBAR, NarrowSeparationWarning, PhysicalParams, reduce
 from conftest import integrate_profile
@@ -318,22 +320,55 @@ class TestDecoherenceTime:
         n_evals = [decoherence_time(*case[:2], hbar=case[2]).n_evals for case in _zero_temperature_cases(rng, 400)]
         assert np.mean(n_evals) <= 7.5 and max(n_evals) <= 9
 
-    def test_downward_widening_reaches_the_first_probe(self, monkeypatch):
-        # at theta = 1e12 the attenuation is below 1/e already at 1e-6 tau0:
-        # the bracket halves down from 0.9 times the estimate to that probe,
-        # evaluates it once, and the crossing lies in (0, 1e-6 tau0]
-        state, model = CatState(1.0, 20.0), single_relaxation_time(1.0, 0.01)
-        report, calls = self._counted_solve(monkeypatch, state, model, theta=1e12, hbar=0.5)
-        first = 1e-6 * report.tau0
-        assert report.bracket == (0.0, first)
-        assert 0.0 < report.tau_d <= first
-        scan = calls[:calls.index(first) + 1]
-        assert scan[0] == 0.9 * dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
-        assert all(0.5 * a == b for a, b in zip(scan, scan[1:-1])) and 0.5 * scan[-2] <= first < scan[-2]
-        assert calls.count(first) == 1 and min(calls) > 0.0
+    def test_a_crossed_first_probe_drops_to_the_floor(self, monkeypatch):
+        # at theta = 1e12 the attenuation is below 1/e already at 0.9 times
+        # the T = 0 estimate: the next probe is the floor, below which
+        # s <= v2 t^2 and w^2 >= sigma^2 keep it above 1/e
+        state, model, theta, hbar = CatState(1.0, 20.0), single_relaxation_time(1.0, 0.01), 1e12, 0.5
+        report, calls = self._counted_solve(monkeypatch, state, model, theta=theta, hbar=hbar)
+        v2 = mean_square_velocity(model, state.mass, hbar) + hbar * theta / state.mass
+        floor = 0.99 * state.sigma ** 2 / state.d * math.sqrt(8.0 / v2)
+        first = 0.9 * dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
+        assert calls[:2] == [first, floor]
+        assert report.bracket == (floor, first)
+        assert report.n_evals <= 12
         monkeypatch.undo()
-        reference = _bisection_tau_d(state, model, theta=1e12, hbar=0.5)
+        reference = _bisection_tau_d(state, model, theta=theta, hbar=hbar)
         assert report.tau_d == pytest.approx(reference, rel=2e-10)
+
+    def test_a_nan_attenuation_is_a_scan_failure(self):
+        # e^-x is nan here from about t = 0.04: the refinement bisects past
+        # the nan steps to a crossing far above tau0, as it did before
+        state, model = CatState(1.0, 987.0877936356337), single_relaxation_time(1.0, 1.4035448486236923e-141)
+        with pytest.raises(BracketScanError, match="did not fall below tau0"):
+            decoherence_time(state, model, hbar=5.30359795265378e29)
+
+    def test_fuzzed_solves_end_in_a_verified_root_or_a_scan_failure(self, monkeypatch, rng):
+        # reduced baths far outside the criterion-10 box, half of them warm
+        target = math.exp(-1.0)
+        roots = 0
+        for i in range(300):
+            d = math.exp(rng.uniform(math.log(2.5), math.log(1e8)))
+            tau = math.exp(rng.uniform(math.log(1e-300), math.log(0.2499999)))
+            hbar = math.exp(rng.uniform(math.log(1e-30), math.log(1e30)))
+            theta = math.exp(rng.uniform(math.log(1e-3), math.log(1e12))) if i % 2 else 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NarrowSeparationWarning)
+                state, model = CatState(1.0, d), single_relaxation_time(1.0, tau)
+            try:
+                report, calls = self._counted_solve(monkeypatch, state, model, theta=theta, hbar=hbar)
+            except BracketScanError:
+                continue
+            roots += 1
+            lo, hi = report.bracket
+            tau_d = report.tau_d
+            assert lo < tau_d <= hi and tau_d < report.tau0
+            a_lo, a_root = (attenuation_exact(state, model, t, theta, hbar=hbar) for t in (lo, tau_d))
+            assert a_lo > target >= a_root
+            # the refinement's last lower end is the latest probe below tau_d;
+            # it stops short of 1e-10 only at an exact crossing
+            assert tau_d - max(t for t in calls if t < tau_d) <= 1e-10 * tau_d or a_root == target
+        assert 50 <= roots <= 250
 
     @pytest.mark.parametrize(
         "gap, root",
@@ -343,10 +378,23 @@ class TestDecoherenceTime:
             (lambda t: 1.0 if t < 0.3 else -1.0, 0.3),  # no interpolation helps
         ],
     )
-    def test_brent_step_tolerance(self, gap, root):
-        t = dec._brent_root(gap, 0.0, 2.0, gap(0.0), gap(2.0), 1e-10)
+    def test_regula_falsi_step_tolerance(self, gap, root):
+        t = dec._regula_falsi(gap, 0.0, 2.0, gap(0.0), gap(2.0), 1e-10)
         assert gap(t) <= 0.0
         assert root <= t <= root * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("gap", [lambda t: 1.0 - t ** 4, lambda t: math.exp(-5.0 * t) - math.exp(-5.0)], ids=["concave", "convex"])
+    def test_regula_falsi_scales_the_end_that_sticks(self, gap):
+        # regula falsi keeps one end here, hi on the concave gap and lo on the
+        # convex one: unscaled, that takes 79 and 667 evaluations, scaled 11 and 13
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return gap(t)
+
+        t = dec._regula_falsi(counted, 0.0, 2.0, gap(0.0), gap(2.0), 1e-10)
+        assert 1.0 <= t <= 1.0 + 1e-10 and len(calls) <= 15
 
 
 class TestProbabilityProfile:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbrownian.bath import ohmic, rates, single_relaxation_time
+from qbrownian.decoherence import CatState, attenuation_exact
 from qbrownian.dynamics import (
     _ARRAY,
     _NEAR_RATES,
@@ -405,6 +406,26 @@ class TestMomentsGrid:
         assert ints[0].value.tobytes() == floats[0].value.tobytes()
         assert all(i.tobytes() == f.tobytes() for i, f in zip(ints[1:], floats[1:]))
         assert msd_finite_T(SRT01, 3, theta).value == floats[0].value[2]
+
+    @pytest.mark.parametrize("name", ["ohmic", "two_rate", "gap_1e-8"])
+    @pytest.mark.parametrize("kind", [float, int, np.float64, np.int64])
+    def test_a_real_time_gives_the_float_calls_float(self, kind, name):
+        # a numpy scalar time once gave a numpy.float64 next to the rate degeneracy
+        model, state = GRID_BATHS[name], CatState(0.7, 28.0)
+
+        def finite_t(t):
+            r = msd_finite_T(model, t, 0.5)
+            return r.value, r.est_error, r.tail_bound
+
+        for f in (
+            lambda t: (msd_zero_T(model, t),),
+            finite_t,
+            lambda t: (commutator_magnitude(model, t),),
+            lambda t: (packet_variance(model, t, 0.7, 0.5),),
+            lambda t: (attenuation_exact(state, model, t, 0.5),),
+        ):
+            for got, ref in zip(f(kind(2)), f(2.0)):
+                assert type(got) is float and got.hex() == ref.hex()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("theta", [0.0, 0.5])

@@ -25,7 +25,7 @@ import qbrownian.bath
 from qbrownian import cli
 from qbrownian.bath import BathModel, single_relaxation_time
 from qbrownian.decoherence import CatState, attenuation_exact, decoherence_time, probability_profile
-from qbrownian.dynamics import _Bath, msd_finite_T, msd_zero_T, packet_variance
+from qbrownian.dynamics import _Bath, mean_square_velocity, msd_finite_T, msd_zero_T, packet_variance
 from qbrownian.quadrature import QuadratureConfig
 from qbrownian.units import NarrowSeparationWarning
 from conftest import public_grid
@@ -125,6 +125,18 @@ class TestInvariants:
         ts = np.concatenate(([0.0], np.geomspace(1e-15, 1e4, 39) / theta))
         public_grid(model, ts, theta)
         assert set(_Bath(model, theta, None, 1.0, 0.9).rows(ts)[3].tolist()) == {0, 1, 2}
+
+    @pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.01, 0.2, 0.2499999])
+    def test_s_stays_below_the_ballistic_bound(self, tau):
+        # s(t) <= <v^2> t^2 (Cauchy-Schwarz on the velocity correlation), and
+        # the thermal part of <v^2> is at most hbar theta/m: the floor of the
+        # tau_d bracket rests on this. The worst ratio, 1 + 2.4e-14, lies at
+        # t ~ 1e-12, where s is ballistic.
+        model, ts = single_relaxation_time(1.0, tau), np.geomspace(1e-12, 1e3, 2000)
+        for hbar in (1.0, 1e-3):
+            for theta in (0.0, 1e-2, 0.5, 30.0, 1e4):
+                v2 = mean_square_velocity(model, hbar=hbar) + hbar * theta
+                assert np.all(msd_finite_T(model, ts, theta, hbar=hbar).value <= v2 * ts * ts * (1.0 + 1e-12))
 
 
 SI = st.floats(-40.0, 40.0).map(lambda e: 10.0 ** e)
