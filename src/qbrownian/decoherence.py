@@ -180,8 +180,10 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
     """First time at which the attenuation falls to 1/e.
 
     The first bracket is [0.9, 1.06] times the start estimate, the larger of
-    tau_d_eq26 and the root of the intermediate-time law. If its upper end
-    has not crossed, the bracket doubles upward up to the scan cap of 1e6
+    tau_d_eq26 and the root of the intermediate-time law; at theta > 0 the
+    root (sigma^2/d) sqrt(8 m/(hbar theta)) of the ballistic law with the
+    thermal <v^2> = hbar theta/m where that is less. If its upper end has
+    not crossed, the bracket doubles upward up to the scan cap of 1e6
     reduced time units; if its lower end has, the lower end drops to the
     floor 0.99 (sigma^2/d) sqrt(8/v2), v2 = <v^2>_0 + hbar theta/m, up to
     which s <= v2 t^2 and w^2 >= sigma^2 keep a >= e^-0.9801 > 1/e. Regula
@@ -212,6 +214,8 @@ def decoherence_time(state, model, theta=0.0, cfg=None, hbar=1.0):
         raise BracketScanError(capped)
     eq26 = t0 / math.sqrt(abs(math.log(model.zeta * model.tau / state.mass)))
     estimate = _start_estimate(state, model, t0, eq26)
+    if hbar * theta > 0.0:  # no thermal start where the product underflows to 0
+        estimate = min(estimate, state.sigma ** 2 / state.d * math.sqrt(8.0 * state.mass / (hbar * theta)))
     lo, hi = 0.9 * estimate, 1.06 * estimate
     if hi > t_cap:  # the bracket ends at a scan cap below the estimate
         lo, hi = max(0.5 * t_cap, floor), t_cap

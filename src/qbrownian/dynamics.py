@@ -166,16 +166,25 @@ _ARRAY = _ArrayOps()
 # there on (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
 
 # the rule: the 15-point Kronrod rule on fixed panels over x = w/theta in
-# [0, _RULE_TOP], where 4/expm1(x) has fallen to 8e-22
+# [0, _RULE_TOP], where 4/expm1(x) has fallen to 8e-22: one panel below
+# _RULE_LOW min(gamma/theta, 1), where it integrates the integrand to
+# rounding, then _RULE_PER_DECADE geometric panels a decade, and uniform
+# ones _RULE_STEP apart
 _RULE_TOP = 50.0
-_RULE_STEP = 1.5
+_RULE_LOW = 1e-2
+_RULE_STEP = 3.0
 _RULE_PER_DECADE = 8
 # rows per block of the rule's product: its temporaries, two rows by nodes
 # arrays, stay under about 2 MB at any grid size
 _RULE_BLOCK_BYTES = 2 ** 21
+# a block of up to this many times below theta t = 1 takes s_0 by the float
+# closed form, with the same bits: an array kernel costs 100-500 us a call,
+# a float 3-17 us
+_FLOAT_TIMES = 32
 # Matsubara terms n = 1.._MATSUBARA_TERMS: at theta t >= 1 the next one,
 # e^{-2 pi n theta t} <= e^{-16 pi} = 1.5e-22, lies below the rule's precision
 _MATSUBARA_TERMS = 7
+_MATSUBARA_N = np.arange(1.0, _MATSUBARA_TERMS + 1)
 # the complex step of the divided-difference form, relative to the rate
 # (Squire & Trapp, SIAM Rev. 40, 110 (1998)): Im Z(A + i h)/h = Z'(A)
 _COMPLEX_STEP = 1e-30
@@ -226,9 +235,11 @@ def _phi1(z):
     whose complex step, unlike that of expm1(z)/z, cancels nothing."""
     out = np.empty_like(z)
     small = z.real > -1.0
-    out[small] = _taylor(_PHI1_TAYLOR, z[small])
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
+    if small.any():
+        out[small] = _taylor(_PHI1_TAYLOR, z[small])
+    if not small.all():
+        zb = z[~small]
+        out[~small] = np.expm1(zb) / zb
     return out
 
 
@@ -237,9 +248,11 @@ def _phi2(u):
     below 1, above it (1 - (1 - e^-u)/u)/u, which is 0 at u = inf."""
     out = np.empty_like(u)
     small = u.real < 1.0
-    out[small] = _taylor(_PHI2_TAYLOR, -u[small])
-    ub = u[~small]
-    out[~small] = (1.0 + np.expm1(-ub) / ub) / ub
+    if small.any():
+        out[small] = _taylor(_PHI2_TAYLOR, -u[small])
+    if not small.all():
+        ub = u[~small]
+        out[~small] = (1.0 + np.expm1(-ub) / ub) / ub
     return out
 
 
@@ -264,6 +277,8 @@ def _pole(a, t, theta):
     difference. a may be complex, for the complex step; times are >= 1/theta.
     """
     nu1 = 2.0 * math.pi * theta
+    # e^{-nu_n t} of the terms n = 1.._MATSUBARA_TERMS, one column each
+    decay = np.exp(np.multiply.outer(t, -nu1 * _MATSUBARA_N))
     z = -2.0 * theta * t * (t * _phi2(a * t)) / a
     n0 = 0
     if (a / theta).real < 745.0:  # else e^{-a t} vanishes at every t >= 1/theta
@@ -278,20 +293,22 @@ def _pole(a, t, theta):
             # (e^{-nu t} + nu t e^{-min(a, nu) t} phi1(-|a - nu| t))/(a nu (a + nu))
             nu = n0 * nu1
             low, gap = (nu, a - nu) if a.real >= nu else (a, nu - a)
-            pair = np.exp(-nu * t) + nu * t * np.exp(-low * t) * _phi1(-gap * t)
+            e_nu = decay[:, n0 - 1] if n0 <= _MATSUBARA_TERMS else np.exp(-nu * t)
+            pair = e_nu + nu * t * np.exp(-low * t) * _phi1(-gap * t)
             z = z + (4.0 * theta / (a * nu * (a + nu))) * pair
     for n in range(1, _MATSUBARA_TERMS + 1):
         if n != n0:
             nu = n * nu1
-            z = z + (4.0 * theta / (nu * (a * a - nu * nu))) * np.exp(-nu * t)
+            z = z + (4.0 * theta / (nu * (a * a - nu * nu))) * decay[:, n - 1]
     return z
 
 
 class _Bath:
     """One bath at one temperature theta >= 0: the rate pair (None for the
     Ohmic bath), and s_0, C and s by the route that rows picks at a float
-    or an array of times. At theta > 0 the rule and the constant that
-    matches the series to it at t1 = 1/theta are built on first use."""
+    or an array of times. At theta > 0 the rule is built on first use, and
+    the constant that matches the series to it at t1 = 1/theta is found in
+    the pass of the first rows past t1."""
 
     def __init__(self, model, theta, cfg, m, hbar):
         if not (0.0 <= theta < math.inf):
@@ -301,8 +318,14 @@ class _Bath:
         rp = self.rp = None if model.tau == 0.0 else _bath.rates(model, m)
         # whether the closed forms and the series take the divided-difference form
         self.near = rp is not None and rp.Omega - rp.gamma < _NEAR_RATES * (rp.Omega + rp.gamma)
+        # whether the direct two-rate form divides through by Omega^2: where
+        # Omega^2 |f| or pref Omega^2 |f| could overflow, with |f| <= 1e3
+        # (V grows like log x, 1 - e^-u <= 1) and pref <= hbar/zeta
+        self.divided = rp is not None and not math.isfinite(1e3 * max(hbar / model.zeta, 1.0) * rp.Omega * rp.Omega)
         # the slow and the fast rate; the Ohmic bath's one rate zeta/m twice
         self.slow, self.fast = (model.zeta / m,) * 2 if rp is None else (rp.gamma, rp.Omega)
+        # the constant of the series and its error, the rule's at t1 = 1/theta
+        self._constant = None
 
     def _closed(self, pref, f, df, t, ops):
         """pref f(zeta t/m) for the Ohmic bath; for the memory bath pref times
@@ -326,7 +349,7 @@ class _Bath:
         o2 = rp.Omega * rp.Omega
         g2 = rp.gamma * rp.gamma
         f_slow, f_fast = ops.batch(f, rp.gamma * t, rp.Omega * t)
-        if o2 == math.inf:  # the same bracket divided through by Omega^2
+        if self.divided:  # the same bracket divided through by Omega^2
             rho = rp.gamma / rp.Omega
             return pref * (f_slow - rho * rho * f_fast) / (1.0 - rho * rho)
         return pref * (o2 * f_slow - g2 * f_fast) / (o2 - g2)
@@ -347,7 +370,7 @@ class _Bath:
         """The thermal excess rule: nodes x, weights W_k and W_k - W_g, and a bound on E above the cutoff."""
         theta, slow, fast = self.theta, self.slow, self.fast
         top = _RULE_TOP
-        lo = max(1e-8 * min(slow / theta, 1.0), 1e-300)
+        lo = max(_RULE_LOW * min(slow / theta, 1.0), 1e-300)
         parts = [
             [0.0],
             np.geomspace(lo, top, math.ceil(_RULE_PER_DECADE * math.log10(top / lo)) + 1),
@@ -411,14 +434,6 @@ class _Bath:
         # Omega^2 only divides here: where it overflows, its terms go to 0
         return pref * (rp.gamma * rp.Omega / (rp.Omega - rp.gamma)) * (_pole(rp.Omega, t, theta) - _pole(rp.gamma, t, theta))
 
-    @cached_property
-    def _constant(self):
-        """The constant of the series, and its error: the rule's at t1 = 1/theta."""
-        t1 = np.array([1.0 / self.theta])
-        e, est = self.excess(t1)
-        s1 = self.s0(1.0 / self.theta) + e
-        return float((s1 - self._series_part(t1))[0]), float(est[0]) + self._rule[3]
-
     def _series_tail(self, t):
         """A bound on the terms past _MATSUBARA_TERMS: off its resonance, where
         |a - nu_n| >= pi theta, a pole's n-th term is at most
@@ -450,24 +465,31 @@ class _Bath:
         tail = np.zeros_like(t)
         series = self.theta * t >= 1.0
         low = (t > 0.0) & ~series
+        tl, ts = t[low], t[series]
+        nl, ns = tl.size, ts.size
+        # the first call with a time past theta t = 1 matches the series'
+        # constant to the rule at t1 = 1/theta in its own pass: t1 ends both blocks
+        match = ns > 0 and self._constant is None
+        if match:
+            tl, ts = np.append(tl, 1.0 / self.theta), np.append(ts, 1.0 / self.theta)
         # each row's estimate carries 4 ulp of rounding besides the rule's
         # or the constant's error: no budget below it can be met
-        if low.any():
-            tl = t[low]
+        if tl.size:
             e, rule_est = self.excess(tl)
-            # one time takes the float closed form, with the same bits: on
-            # one element the array kernels take a hundred times longer
-            s[low] = (self.s0(float(tl[0])) if tl.size == 1 else self.s0(tl)) + e
-            est[low] = rule_est + 4.0 * _EPS * s[low]
-            half_u = 0.5 * self.theta * tl
+            s_low = (np.array([self.s0(u) for u in tl.tolist()]) if tl.size <= _FLOAT_TIMES else self.s0(tl)) + e
+            s[low] = s_low[:nl]
+            est[low] = rule_est[:nl] + 4.0 * _EPS * s[low]
+            half_u = 0.5 * self.theta * t[low]
             tail[low] = self._rule[3] * np.minimum(1.0, half_u * half_u * (_RULE_TOP * (_RULE_TOP + 2.0) + 2.0))
-        if series.any():
-            ts = t[series]
-            const, const_err = self._constant
+        if ns:
             part = self._series_part(ts)
+            if match:
+                self._constant = float(s_low[nl] - part[ns]), float(rule_est[nl]) + self._rule[3]
+            const, const_err = self._constant
+            part = part[:ns]
             s[series] = part + const
             est[series] = const_err + 4.0 * _EPS * (np.abs(part) + abs(const))
-            tail[series] = self._series_tail(ts)
+            tail[series] = self._series_tail(t[series])
         route = (t > 0.0).astype(np.intp) + series
         budget = self.cfg.rel_tol * np.abs(s) + (2.0 * self.hbar / math.pi) * self.cfg.abs_tol
         route[~(est + tail <= budget)] = 3

@@ -18,7 +18,7 @@ from qbrownian.decoherence import (
     probability_profile,
     tau0,
 )
-from qbrownian.dynamics import mean_square_velocity
+from qbrownian.dynamics import commutator_magnitude, mean_square_velocity, msd_zero_T
 from qbrownian.specfun import EULER_GAMMA
 from qbrownian.units import HBAR, NarrowSeparationWarning, PhysicalParams, reduce
 from conftest import integrate_profile
@@ -320,15 +320,36 @@ class TestDecoherenceTime:
         n_evals = [decoherence_time(*case[:2], hbar=case[2]).n_evals for case in _zero_temperature_cases(rng, 400)]
         assert np.mean(n_evals) <= 7.5 and max(n_evals) <= 9
 
-    def test_a_crossed_first_probe_drops_to_the_floor(self, monkeypatch):
-        # at theta = 1e12 the attenuation is below 1/e already at 0.9 times
-        # the T = 0 estimate: the next probe is the floor, below which
-        # s <= v2 t^2 and w^2 >= sigma^2 keep it above 1/e
+    def test_a_hot_solve_starts_from_the_ballistic_law(self, monkeypatch):
+        # at theta = 1e12 the T = 0 estimate lies far above tau_d: the start
+        # is the root (sigma^2/d) sqrt(8 m/(hbar theta)) of the ballistic law
+        # with the thermal <v^2> = hbar theta/m, and its first bracket holds tau_d
         state, model, theta, hbar = CatState(1.0, 20.0), single_relaxation_time(1.0, 0.01), 1e12, 0.5
+        report, calls = self._counted_solve(monkeypatch, state, model, theta=theta, hbar=hbar)
+        estimate = state.sigma ** 2 / state.d * math.sqrt(8.0 * state.mass / (hbar * theta))
+        assert estimate < dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
+        assert calls[:2] == [0.9 * estimate, 1.06 * estimate]
+        assert report.bracket == (0.9 * estimate, 1.06 * estimate)
+        assert report.n_evals <= 8
+        monkeypatch.undo()
+        reference = _bisection_tau_d(state, model, theta=theta, hbar=hbar)
+        assert report.tau_d == pytest.approx(reference, rel=2e-10)
+
+    def test_an_underflowing_thermal_start_is_the_zero_temperature_one(self):
+        # hbar theta = 0.4 * 5e-324 rounds to 0: the ballistic root would divide by it
+        state, model = CatState(1.0, 1000.0), single_relaxation_time(1.0, 0.01)
+        assert decoherence_time(state, model, theta=5e-324, hbar=0.4) == decoherence_time(state, model, hbar=0.4)
+
+    def test_a_crossed_first_probe_drops_to_the_floor(self, monkeypatch):
+        # here the attenuation is below 1/e already at 0.9 times the start
+        # estimate: the next probe is the floor, below which s <= v2 t^2 and
+        # w^2 >= sigma^2 keep it above 1/e
+        state, model, theta, hbar = CatState(1.0, 100.0), single_relaxation_time(1.0, 0.2), 1.0, 30.0
         report, calls = self._counted_solve(monkeypatch, state, model, theta=theta, hbar=hbar)
         v2 = mean_square_velocity(model, state.mass, hbar) + hbar * theta / state.mass
         floor = 0.99 * state.sigma ** 2 / state.d * math.sqrt(8.0 / v2)
-        first = 0.9 * dec._start_estimate(state, model, report.tau0, report.tau_d_eq26)
+        ballistic = state.sigma ** 2 / state.d * math.sqrt(8.0 * state.mass / (hbar * theta))
+        first = 0.9 * min(dec._start_estimate(state, model, report.tau0, report.tau_d_eq26), ballistic)
         assert calls[:2] == [first, floor]
         assert report.bracket == (floor, first)
         assert report.n_evals <= 12
@@ -337,11 +358,15 @@ class TestDecoherenceTime:
         assert report.tau_d == pytest.approx(reference, rel=2e-10)
 
     def test_a_nan_attenuation_is_a_scan_failure(self):
-        # e^-x is nan here from about t = 0.04: the refinement bisects past
-        # the nan steps to a crossing far above tau0, as it did before
-        state, model = CatState(1.0, 987.0877936356337), single_relaxation_time(1.0, 1.4035448486236923e-141)
-        with pytest.raises(BracketScanError, match="did not fall below tau0"):
-            decoherence_time(state, model, hbar=5.30359795265378e29)
+        # here Omega^2 is finite but (hbar/zeta) Omega^2 is not: the two-rate
+        # closed forms divide through by Omega^2, so C and s_0 stay finite,
+        # the attenuation never turns nan and stays above 1/e up to the cap
+        state, model, hbar = CatState(1.0, 987.0877936356337), single_relaxation_time(1.0, 1.4035448486236923e-141), 5.30359795265378e29
+        c, s0 = commutator_magnitude(model, 0.02, hbar=hbar), msd_zero_T(model, 0.04, hbar=hbar)
+        assert math.isfinite(c) and 0.0 < c <= hbar / model.zeta
+        assert math.isfinite(s0) and s0 > 0.0
+        with pytest.raises(BracketScanError, match="stays above 1/e up to the scan cap"):
+            decoherence_time(state, model, hbar=hbar)
 
     def test_fuzzed_solves_end_in_a_verified_root_or_a_scan_failure(self, monkeypatch, rng):
         # reduced baths far outside the criterion-10 box, half of them warm

@@ -70,6 +70,17 @@ class TestMsdZeroT:
                 commutator_magnitude(above, t), rel=1e-13
             )
 
+    @pytest.mark.parametrize("tau, hbar", [(1e-154, 1e-10), (1e-150, 0.5e8 * math.pi)])
+    def test_finite_fast_rate_overflowing_bracket_matches_ohmic(self, tau, hbar):
+        # Omega^2 = 1/tau^2 and (2 hbar/(pi zeta)) Omega^2 are finite, but
+        # Omega^2 V and the latter times V are not past t = 1, where V > 1.8;
+        # the bath is Ohmic to far below rounding
+        model = single_relaxation_time(1.0, tau)
+        for t in (1.0, 10.0, 1e3):
+            assert msd_zero_T(model, t, hbar=hbar) == pytest.approx(msd_zero_T(ohmic(1.0), t, hbar=hbar), rel=1e-14)
+            c = commutator_magnitude(model, t, hbar=hbar)
+            assert c == pytest.approx(commutator_magnitude(ohmic(1.0), t, hbar=hbar), rel=1e-14)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             msd_zero_T(SRT01, -0.1)

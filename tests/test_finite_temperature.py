@@ -75,6 +75,20 @@ class TestOracleTable:
         assert max(worst.values()) <= TARGET, worst
         assert min(worst.values()) > 0.0  # both routes were exercised
 
+    def test_the_rule_is_small_and_converged(self):
+        # 705-1,335 nodes a bath and a Kronrod-Gauss estimate of at most
+        # 3.31e-16 s below theta t = 1; four geometric panels a decade
+        # would read 4.6e-12, and the rule from 1e-8 in steps of 1.5 took
+        # 1,680-2,310 nodes
+        for (tau, theta), points in by_bath().items():
+            bath = _Bath(BathModel(1.0, tau), theta, None, 1.0, 1.0)
+            ts = np.array([p[0] for p in points])
+            s, _, _, route = bath.rows(ts)
+            assert bath._rule[0].size <= 1400, (tau, theta)
+            low = route == 1
+            if low.any():
+                assert np.all(bath.excess(ts[low])[1] <= 4e-16 * s[low]), (tau, theta)
+
 
 def tau_hats():
     """Ohmic, memory baths from 1e-7 to 0.2, and next to the degeneracy."""
@@ -115,7 +129,7 @@ class TestInvariants:
         t = np.array([product / theta])
         e, _ = bath.excess(t)
         rule = float(bath.s0(t)[0] + e[0])
-        series = float(bath._series_part(t)[0]) + bath._constant[0]
+        series = float(bath.rows(t)[0][0])
         assert abs(rule - series) <= 1e-13 * rule
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -125,6 +139,9 @@ class TestInvariants:
         ts = np.concatenate(([0.0], np.geomspace(1e-15, 1e4, 39) / theta))
         public_grid(model, ts, theta)
         assert set(_Bath(model, theta, None, 1.0, 0.9).rows(ts)[3].tolist()) == {0, 1, 2}
+        # blocks below theta t = 1 on either side of the float/array switch of s_0
+        for n in (1, 32, 33):
+            public_grid(model, np.geomspace(1e-15, 0.5, n) / theta, theta)
 
     @pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.01, 0.2, 0.2499999])
     def test_s_stays_below_the_ballistic_bound(self, tau):
@@ -195,6 +212,22 @@ class TestOneContextPerCall:
     def test_a_decoherence_solve_builds_one(self, built):
         report = decoherence_time(CatState(1.0, 1000.0), BathModel(1.0, 0.01), theta=1.0, hbar=EIGHT_PI)
         assert report.n_evals > 5 and len(built) == 1
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.25 * (1.0 - 1e-9)])
+    def test_a_grid_on_both_routes_makes_one_pass_of_each(self, monkeypatch, tau):
+        # the constant of the series is matched at t1 = 1/theta in the grid's own blocks
+        calls = []
+        for name in ("excess", "_series_part"):
+            def counted(self, t, method=getattr(_Bath, name), name=name):
+                calls.append(name)
+                return method(self, t)
+
+            monkeypatch.setattr(_Bath, name, counted)
+        model, ts = BathModel(1.0, tau), np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 49)))
+        packet_variance(model, ts, 1.0, 0.5)
+        assert sorted(calls) == ["_series_part", "excess"]
+        monkeypatch.undo()
+        assert set(_Bath(model, 0.5, None, 1.0, 1.0).rows(ts)[3].tolist()) == {0, 1, 2}
 
     @pytest.fixture
     def rate_calls(self, monkeypatch):
